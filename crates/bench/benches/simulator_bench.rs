@@ -11,9 +11,10 @@ use ampsinf_model::zoo;
 use ampsinf_profiler::{quick_eval, Profile};
 use ampsinf_serving::{ArrivalShape, LoadSpec};
 
-/// The paper's multi-partition workhorse on the open-loop engine: same
-/// lane count for every variant, so the serial→8-thread ratio isolates
-/// pure execution parallelism (results are bit-identical by construction).
+/// The paper's multi-partition workhorse on the open-loop engine (a chain
+/// served as a width-1 DAG): same lane count for every variant, so the
+/// ratio between thread counts isolates pure execution parallelism
+/// (results are bit-identical by construction).
 fn bench_serving(b: &mut Bencher) {
     let g = zoo::resnet50();
     let base = AmpsConfig::default().with_serve_lanes(64);
@@ -29,7 +30,7 @@ fn bench_serving(b: &mut Bencher) {
     }
 
     let mut dollars = Vec::new();
-    for threads in [1usize, 8] {
+    for threads in [1usize, 2, 8] {
         let coord = Coordinator::new(base.clone().with_serve_threads(threads));
         b.bench_items(
             &format!("open_loop/resnet50/100k/threads={threads}"),
@@ -38,7 +39,7 @@ fn bench_serving(b: &mut Bencher) {
             || {
                 let mut platform = coord.platform();
                 let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-                let trace = coord.serve_trace(&mut platform, &dep, &arrivals);
+                let trace = coord.serve_trace_dag(&mut platform, &dep, &arrivals);
                 dollars.push(trace.dollars.to_bits());
                 trace.last_completion_s
             },
@@ -62,7 +63,7 @@ fn bench_serving(b: &mut Bencher) {
             || {
                 let mut platform = coord.platform();
                 let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-                let trace = coord.serve_trace_pipelined(&mut platform, &dep, &arrivals);
+                let trace = coord.serve_trace_dag(&mut platform, &dep, &arrivals);
                 pipe_dollars.push(trace.dollars.to_bits());
                 trace.last_completion_s
             },
@@ -83,7 +84,7 @@ fn bench_serving(b: &mut Bencher) {
     b.bench_items("open_loop/resnet50/100k/shape=spike", 3, REQUESTS, || {
         let mut platform = spike_coord.platform();
         let dep = spike_coord.deploy(&mut platform, &g, &plan).unwrap();
-        let trace = spike_coord.serve_trace(&mut platform, &dep, &spike);
+        let trace = spike_coord.serve_trace_dag(&mut platform, &dep, &spike);
         assert!(trace.idle_dollars > 0.0);
         trace.last_completion_s
     });

@@ -20,7 +20,7 @@ fn measure(g: &LayerGraph, plan: &ExecutionPlan, cfg: &AmpsConfig) -> (f64, f64)
         .deploy(&mut platform, g, plan)
         .expect("deployable plan");
     let job = coord
-        .serve_one(&mut platform, &dep, 0.0, "bl")
+        .serve_one_dag(&mut platform, &dep, 0.0, "bl")
         .expect("serves");
     let dollars = job.dollars + platform.settle_storage(job.inference_s);
     (job.inference_s, dollars)

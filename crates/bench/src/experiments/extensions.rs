@@ -36,7 +36,7 @@ pub fn ext_store() -> Table {
         let coord = Coordinator::new(cfg);
         let mut platform = coord.platform();
         let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-        let job = coord.serve_one(&mut platform, &dep, 0.0, "st").unwrap();
+        let job = coord.serve_one_dag(&mut platform, &dep, 0.0, "st").unwrap();
         let dollars = job.dollars + platform.settle_storage(job.inference_s);
         t.row_all(
             label,
@@ -207,8 +207,8 @@ pub fn ext_pipeline() -> Table {
     t
 }
 
-/// Stage-station pipelining (DESIGN.md §6e): the same closed batch through
-/// the sequential chain engine vs the pipelined station engine, on the
+/// Stage-station pipelining (DESIGN.md §6e): the same closed batch served
+/// sequentially vs through pipeline stations, on the
 /// cost-blind balanced bucket-scan plan and the budget-bound joint plan.
 pub fn ext_stations() -> Table {
     use ampsinf_core::baselines;
@@ -339,7 +339,7 @@ pub fn ext_costmodel() -> Table {
         let coord = Coordinator::new(cfg.clone());
         let mut platform = coord.platform();
         let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-        let job = coord.serve_one(&mut platform, &dep, 0.0, "cm").unwrap();
+        let job = coord.serve_one_dag(&mut platform, &dep, 0.0, "cm").unwrap();
         platform.settle_storage(job.inference_s);
         let l = &platform.ledger;
         t.row_all(

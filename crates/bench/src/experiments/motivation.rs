@@ -227,7 +227,7 @@ pub fn table3() -> Table {
         let coord = Coordinator::new(cfg.clone());
         let mut platform = coord.platform();
         let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-        let job = coord.serve_one(&mut platform, &dep, 0.0, "t3").unwrap();
+        let job = coord.serve_one_dag(&mut platform, &dep, 0.0, "t3").unwrap();
         let dollars = job.dollars + platform.settle_storage(job.inference_s);
         t.row_all(
             format!("Lambda {mem}MB ×10"),

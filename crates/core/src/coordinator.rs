@@ -1,9 +1,13 @@
 //! The Coordinator component (paper §4): package each partition, deploy
-//! the lambdas, chain invocations through storage, return the prediction.
+//! the lambdas, move each request through storage, return the prediction.
 //!
-//! # Sharded serving (DESIGN.md §6c–§6d)
+//! # One sharded serving engine (DESIGN.md §6c–§6e)
 //!
-//! The batch/trace engines split the platform into
+//! A chain plan deploys as the width-1 DAG [`DagPlan::from_chain`]
+//! builds, so every plan is served as a [`DagDeployment`].
+//! [`AmpsConfig::pipeline_depth`] picks the execution mode: 0 scales
+//! instances out on demand, `d > 0` bounds every node to `d` stations per
+//! lane. The batch/trace engines split the platform into
 //! [`AmpsConfig::serve_lanes`] warm-pool shards ("lanes"). Request `i` is
 //! pinned to lane `i % serve_lanes` and only ever sees that lane's warm
 //! instances — a would-be warm hit on another lane's container is simply a
@@ -11,8 +15,8 @@
 //! disjoint by construction, so no cross-shard state ever needs merging
 //! mid-run). Worker threads *steal whole chunks of a lane's request
 //! sequence* from a shared queue: a lane's state (platform, scratch,
-//! results) travels with its task, so which worker runs which chunk can
-//! never change what the chunk computes. That keeps every report
+//! stations, results) travels with its task, so which worker runs which
+//! chunk can never change what the chunk computes. That keeps every report
 //! bit-identical at every thread count: the lane a request runs on, the
 //! per-request RNG streams ([`Platform::begin_request`]), the order of
 //! requests within a lane, and the merge order (requests in global index
@@ -28,18 +32,6 @@ use ampsinf_faas::runtime::{PartitionWork, StationPool};
 use ampsinf_faas::{InvocationOutcome, ObjectKey};
 use ampsinf_model::LayerGraph;
 use std::fmt::Write as _;
-
-/// A deployed chain of partition lambdas.
-#[derive(Debug, Clone)]
-pub struct Deployment {
-    /// Function ids in chain order.
-    pub functions: Vec<FunctionId>,
-    /// Partition work profiles in chain order.
-    pub works: Vec<PartitionWork>,
-    /// Wall-clock deployment duration (uploads proceed in parallel; the
-    /// paper counts this once per job in its end-to-end §2.2 times).
-    pub deploy_s: f64,
-}
 
 /// One retried partition attempt: what failed, and the backoff the
 /// coordinator waited before re-invoking. Because intermediates live in
@@ -160,90 +152,6 @@ impl BatchReport {
     }
 }
 
-/// Reusable per-request buffers for the serving hot path: the interned
-/// boundary keys and refillable [`InvocationWork`] values one request
-/// needs, allocated once per (lane, deployment) instead of once per
-/// request.
-#[derive(Debug, Clone)]
-pub struct ServeScratch {
-    works: Vec<InvocationWork>,
-    keys: Vec<ObjectKey>,
-    buf: String,
-    tag: String,
-    /// Whether `works` already holds this deployment's full profiles with
-    /// anonymous keys patched in — [`ServeScratch::prepare_anon`]'s
-    /// fast-path marker (a [`ServeScratch::prepare`] call clears it).
-    primed: bool,
-}
-
-impl ServeScratch {
-    /// Scratch sized for `dep`'s chain length.
-    pub fn for_deployment(dep: &Deployment) -> Self {
-        ServeScratch {
-            works: vec![InvocationWork::default(); dep.functions.len()],
-            keys: Vec::with_capacity(dep.functions.len().saturating_sub(1)),
-            buf: String::new(),
-            tag: String::new(),
-            primed: false,
-        }
-    }
-
-    /// Interns this request's boundary keys (`{tag}/b{i}`) into
-    /// `platform`'s store and refills the per-partition work profiles in
-    /// place.
-    pub fn prepare(&mut self, platform: &mut Platform, dep: &Deployment, tag: &str) {
-        let k = dep.functions.len();
-        self.works.resize(k, InvocationWork::default());
-        self.keys.clear();
-        self.primed = false;
-        for i in 0..k.saturating_sub(1) {
-            self.buf.clear();
-            let _ = write!(self.buf, "{tag}/b{i}");
-            self.keys.push(platform.store.intern(&self.buf));
-        }
-        for i in 0..k {
-            let input = (i > 0).then(|| self.keys[i - 1]);
-            let output = (i + 1 < k).then(|| self.keys[i]);
-            dep.works[i].invocation_into(&mut self.works[i], input, output);
-        }
-    }
-
-    /// Prepares this request with *anonymous* boundary keys — the trace
-    /// engine's hot path. The first call builds the full work profiles;
-    /// every later call only allocates fresh keys and patches them into
-    /// the existing read/write slots, so per-request setup is O(chain
-    /// length) with no string formatting, hashing, or map insertion.
-    pub fn prepare_anon(&mut self, platform: &mut Platform, dep: &Deployment) {
-        let k = dep.functions.len();
-        if !self.primed || self.works.len() != k {
-            self.works.clear();
-            self.works.resize(k, InvocationWork::default());
-            self.keys.clear();
-            for _ in 0..k.saturating_sub(1) {
-                self.keys.push(platform.store.fresh_key());
-            }
-            for i in 0..k {
-                let input = (i > 0).then(|| self.keys[i - 1]);
-                let output = (i + 1 < k).then(|| self.keys[i]);
-                dep.works[i].invocation_into(&mut self.works[i], input, output);
-            }
-            self.primed = true;
-            return;
-        }
-        // Chain layout is fixed: partition i writes exactly boundary i and
-        // partition i+1 reads it — patch the keys in place. The block's
-        // keys are the same values `k - 1` individual `fresh_key` calls
-        // would have drawn.
-        let base = platform.store.fresh_block(k.saturating_sub(1));
-        for i in 0..k.saturating_sub(1) {
-            let key = base.offset(i as u32);
-            self.keys[i] = key;
-            self.works[i].writes[0].0 = key;
-            self.works[i + 1].reads[0] = key;
-        }
-    }
-}
-
 /// Per-node invocation scalars of a deployed DAG node, precomputed at
 /// deploy time so the serving hot path only patches storage keys.
 #[derive(Debug, Clone, Copy)]
@@ -254,13 +162,12 @@ struct DagNodeWork {
     tmp_bytes: u64,
 }
 
-/// A deployed branch-parallel DAG of partition lambdas
-/// ([`Coordinator::deploy_dag`]). Node `v` becomes ready when every
-/// object it reads has been written — fan-out nodes of a scatter all read
-/// the same object and therefore start concurrently; the gather node
-/// waits for the last branch. A chain-shaped plan degenerates to exactly
-/// the [`Deployment`] wiring, and the DAG engines reproduce the chain
-/// engines bit-for-bit on it.
+/// A deployed DAG of partition lambdas ([`Coordinator::deploy_dag`], or
+/// [`Coordinator::deploy`] for a chain, which is a width-1 DAG). Node `v`
+/// becomes ready when every object it reads has been written — fan-out
+/// nodes of a scatter all read the same object and therefore start
+/// concurrently; the gather node waits for the last branch; on a chain,
+/// partition `i + 1` waits for partition `i`.
 #[derive(Debug, Clone)]
 pub struct DagDeployment {
     /// Function ids in node (topological) order.
@@ -324,10 +231,10 @@ impl DagDeployment {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DagNodeStats {
     /// Execution stations per node the occupancy is measured against:
-    /// `pipeline_depth × lanes` for the pipelined engine, whose stations
-    /// genuinely bound per-node concurrency. The sequential engine
-    /// scales instances out on demand (no per-node capacity bound) and
-    /// reports 0 — use [`DagNodeStats::mean_concurrency`] there.
+    /// `pipeline_depth × lanes` when pipelined, where stations genuinely
+    /// bound per-node concurrency. Scale-out serving adds instances on
+    /// demand (no per-node capacity bound) and reports 0 — use
+    /// [`DagNodeStats::mean_concurrency`] there.
     pub stations_per_node: usize,
     /// Successful-attempt execution seconds per node.
     pub busy_s: Vec<f64>,
@@ -360,7 +267,7 @@ impl DagNodeStats {
 
     /// Mean number of concurrently-executing instances of `node` over
     /// the run (busy seconds per wall-clock second) — the scale-out
-    /// measure for the unbounded sequential engine.
+    /// measure for unbounded scale-out serving.
     pub fn mean_concurrency(&self, node: usize) -> f64 {
         if self.span_s > 0.0 {
             self.busy_s[node] / self.span_s
@@ -394,7 +301,7 @@ impl DagNodeStats {
 /// [`InvocationWork`] per node whose storage-key slots are patched in
 /// place each request, the per-node completion/duration times the ready
 /// recurrence and critical-path walk fold over, and the per-node
-/// busy/stall/critical accumulators the trace engines merge in lane
+/// busy/stall/critical accumulators the trace engine merges in lane
 /// order.
 #[derive(Debug, Clone)]
 pub struct DagServeScratch {
@@ -450,10 +357,11 @@ impl DagServeScratch {
         }
     }
 
-    /// Resizes the per-node buffers for `dep` (no-op when already sized).
+    /// Resizes the per-node buffers for `dep` (no-op when already sized;
+    /// [`fill_works`](Self::fill_works) overwrites every work field, so
+    /// the work buffers keep their capacity across requests).
     fn resize_for(&mut self, dep: &DagDeployment) {
         let k = dep.functions.len();
-        self.works.clear();
         self.works.resize(k, InvocationWork::default());
         self.finish.resize(k, 0.0);
         self.dur.resize(k, 0.0);
@@ -463,8 +371,8 @@ impl DagServeScratch {
     }
 
     /// Interns this request's object keys (`{tag}/b{o}`, one per object in
-    /// object order — identical to the chain's boundary keys on a
-    /// chain-shaped plan) and refills the per-node work profiles.
+    /// object order — boundary `o` on a chain) and refills the per-node
+    /// work profiles.
     pub fn prepare(&mut self, platform: &mut Platform, dep: &DagDeployment, tag: &str) {
         self.resize_for(dep);
         self.keys.clear();
@@ -481,8 +389,8 @@ impl DagServeScratch {
 
     /// Prepares this request with *anonymous* object keys — the trace
     /// engine's hot path. Keys are drawn as one contiguous block in
-    /// object order, so a chain-shaped plan draws exactly the chain
-    /// engine's key sequence (flaky-store fate parity). The first call
+    /// object order, so the draws are a function of the request alone
+    /// (flaky-store fate parity across engines and modes). The first call
     /// builds the full work profiles; every later call only allocates the
     /// key block and patches the keys into the existing read/write slots
     /// — per-request setup is O(reads + writes) stores with no Vec
@@ -508,8 +416,17 @@ impl DagServeScratch {
         }
     }
 
+    /// Checkpoint-ready instant of node `v` for the request in flight:
+    /// when the last object it reads was written, or `t0` for the root.
+    #[inline]
+    fn ready_at(&self, dep: &DagDeployment, v: usize, t0: f64) -> f64 {
+        dep.producers_of(v)
+            .iter()
+            .fold(t0, |ready, &p| ready.max(self.finish[p as usize]))
+    }
+
     /// Drains this lane's per-node accumulators into `stats` (summed in
-    /// lane order by the trace engines).
+    /// lane order by the trace engine).
     fn drain_into(&mut self, stats: &mut DagNodeStats) {
         for v in 0..self.busy_s.len() {
             stats.busy_s[v] += self.busy_s[v];
@@ -519,7 +436,7 @@ impl DagServeScratch {
     }
 }
 
-/// Scalar per-request result of [`Coordinator::serve_trace`] — everything
+/// Scalar per-request result of [`Coordinator::serve_trace_dag`] — everything
 /// the load generator aggregates, without the per-outcome detail of a
 /// [`JobReport`] (which would dominate allocation on 100k-request runs).
 #[derive(Debug, Clone, PartialEq)]
@@ -550,7 +467,7 @@ pub struct PipelineStats {
     /// (`pipeline_depth × lanes`).
     pub stations_per_stage: usize,
     /// Station-occupied seconds per stage (the utilization numerator),
-    /// indexed by chain position.
+    /// indexed by node (chain position on a chain).
     pub stage_busy_s: Vec<f64>,
     /// Ready-but-waiting seconds per stage: how long requests whose input
     /// tensor was already checkpointed sat queued for a free station.
@@ -645,21 +562,26 @@ pub struct TraceReport {
     /// Dollars the warm-pool policy billed for that idle time (0 unless
     /// the policy bills idle capacity; part of no other total).
     pub idle_dollars: f64,
-    /// Pipeline-station measurements when the trace ran in pipelined mode
-    /// ([`Coordinator::serve_trace_pipelined`]); `None` on the sequential
-    /// engine.
+    /// Pipeline-station measurements when a single deployment ran with
+    /// stations ([`Coordinator::serve_trace_dag`] at
+    /// [`AmpsConfig::pipeline_depth`] > 0); `None` at depth 0 and on the
+    /// multi-deployment [`Coordinator::serve_trace_assigned_dag`].
     pub pipeline: Option<PipelineStats>,
     /// Per-node busy/stall/critical-path measurements when the trace ran
-    /// a single DAG deployment ([`Coordinator::serve_trace_dag`] and its
-    /// pipelined twin); `None` on the chain engines and the
-    /// multi-deployment adaptive engine.
+    /// a single deployment ([`Coordinator::serve_trace_dag`]) — a chain
+    /// reports one row per partition; `None` on the multi-deployment
+    /// [`Coordinator::serve_trace_assigned_dag`].
     pub dag_nodes: Option<DagNodeStats>,
 }
 
-/// One lane's collection slot in [`Coordinator::run_lanes`]: its
+/// One lane's collection slot in the lane runner: its
 /// per-request results plus the shard platform and lane-carried state,
 /// filled exactly once.
 type LaneSlot<R, S> = Option<(Vec<R>, Platform, S)>;
+
+/// A trace lane's state for one deployment: the request scratch and, when
+/// pipelined, one station pool per node.
+type LaneDeployment = (DagServeScratch, Vec<StationPool>);
 
 /// The Coordinator: executes plans on a platform.
 #[derive(Debug, Clone)]
@@ -691,31 +613,20 @@ impl Coordinator {
         .with_warm_pool(self.cfg.warm_pool)
     }
 
-    /// Packages and deploys every partition of `plan`.
+    /// Packages and deploys every partition of a chain `plan` as the
+    /// width-1 DAG [`DagPlan::from_chain`] builds: partition `i` becomes
+    /// node `i` and boundary `i` becomes object `i`, sized by
+    /// [`LayerGraph::cut_transfer_bytes`] (skip tensors included).
     pub fn deploy(
         &self,
         platform: &mut Platform,
         graph: &LayerGraph,
         plan: &ExecutionPlan,
-    ) -> Result<Deployment, DeployError> {
+    ) -> Result<DagDeployment, DeployError> {
         plan.validate(graph.num_layers())
             .expect("structurally valid plan");
-        let mut functions = Vec::with_capacity(plan.partitions.len());
-        let mut works = Vec::with_capacity(plan.partitions.len());
-        let mut deploy_s = 0.0f64;
-        for (i, p) in plan.partitions.iter().enumerate() {
-            let work = PartitionWork::from_segment(graph, p.start, p.end);
-            let spec = work.function_spec(format!("{}-part{}", plan.model, i), p.memory_mb);
-            let (fid, d) = platform.deploy(spec)?;
-            functions.push(fid);
-            works.push(work);
-            deploy_s = deploy_s.max(d); // parallel uploads
-        }
-        Ok(Deployment {
-            functions,
-            works,
-            deploy_s,
-        })
+        let dag = DagPlan::from_chain(plan, |k| graph.cut_transfer_bytes(k));
+        self.deploy_dag(platform, graph, &dag)
     }
 
     /// Packages and deploys every node of a branch-parallel DAG `plan`.
@@ -787,126 +698,24 @@ impl Coordinator {
         })
     }
 
-    /// Serves one request through the chain, starting at `t0`.
+    /// Serves one request through a deployment, starting at `t0`.
     ///
     /// `tag` disambiguates intermediate-object keys between requests.
     ///
-    /// A failed partition invocation with a transient cause is retried up
-    /// to [`AmpsConfig::invoke_retries`] times with exponential backoff
-    /// (`backoff_base_s · 2^(n-1)`). Because each boundary tensor is
-    /// already checkpointed in storage, a retry resumes from the last
-    /// boundary: only the failed partition re-runs, never the chain.
-    /// Retried attempts are billed (real Lambda bills failures) and
-    /// surfaced in [`JobReport::retries`]/`wasted_s`/`wasted_dollars`.
-    pub fn serve_one(
-        &self,
-        platform: &mut Platform,
-        dep: &Deployment,
-        t0: f64,
-        tag: &str,
-    ) -> Result<JobReport, ServeError> {
-        let mut scratch = ServeScratch::for_deployment(dep);
-        scratch.prepare(platform, dep, tag);
-        self.serve_one_with(platform, dep, t0, &scratch)
-    }
-
-    /// [`serve_one`](Self::serve_one) over pre-interned keys and reused
-    /// work buffers — the allocation-free hot path of the batch engines.
-    /// `scratch` must have been [`prepare`](ServeScratch::prepare)d for
-    /// this request's tag on this platform.
-    pub fn serve_one_with(
-        &self,
-        platform: &mut Platform,
-        dep: &Deployment,
-        t0: f64,
-        scratch: &ServeScratch,
-    ) -> Result<JobReport, ServeError> {
-        let k = dep.functions.len();
-        let mut outcomes: Vec<InvocationOutcome> = Vec::with_capacity(k);
-        let mut retries: Vec<RetryRecord> = Vec::new();
-        let mut now = t0;
-        for i in 0..k {
-            let work = &scratch.works[i];
-            let mut attempt: u32 = 0;
-            let out = loop {
-                match platform.invoke(dep.functions[i], now, work) {
-                    Ok(out) => break out,
-                    Err(failed) => {
-                        attempt += 1;
-                        if attempt > self.cfg.invoke_retries || !failed.reason.is_transient() {
-                            let wasted: f64 = retries.iter().map(|r| r.failed.dollars).sum::<f64>()
-                                + failed.dollars;
-                            let spent: f64 =
-                                outcomes.iter().map(|o| o.dollars).sum::<f64>() + wasted;
-                            return Err(ServeError {
-                                reason: failed.reason,
-                                lambda: i,
-                                attempts: attempt,
-                                elapsed_s: failed.end - t0,
-                                dollars: spent,
-                            });
-                        }
-                        // Back off, then resume from the checkpointed
-                        // boundary — the input tensor is still in storage.
-                        let backoff_s = self.cfg.backoff_base_s * 2f64.powi(attempt as i32 - 1);
-                        now = failed.end + backoff_s;
-                        retries.push(RetryRecord {
-                            lambda: i,
-                            failed,
-                            backoff_s,
-                        });
-                    }
-                }
-            };
-            now = out.end;
-            outcomes.push(out);
-        }
-        let load_s: f64 = outcomes.iter().map(|o| o.breakdown.load_s).sum();
-        let import_s: f64 = outcomes.iter().map(|o| o.breakdown.import_s).sum();
-        let predict_s: f64 = outcomes.iter().map(|o| o.breakdown.compute_s).sum();
-        let retry_dollars: f64 = retries.iter().map(|r| r.failed.dollars).sum();
-        let retry_s: f64 = retries
-            .iter()
-            .map(|r| r.failed.duration() + r.backoff_s)
-            .sum();
-        let stall_s: f64 = outcomes.iter().map(|o| o.storage_retry_s).sum();
-        // Marginal GB-seconds the storage stalls billed inside the
-        // otherwise-successful invocations (attribution, not a new charge).
-        let stall_dollars: f64 = outcomes
-            .iter()
-            .zip(&dep.functions)
-            .map(|(o, fid)| {
-                let mem = platform.spec(*fid).map_or(0, |s| s.memory_mb);
-                self.cfg.prices.lambda_compute_cost(o.storage_retry_s, mem)
-            })
-            .sum();
-        let dollars: f64 = outcomes.iter().map(|o| o.dollars).sum::<f64>() + retry_dollars;
-        let inference_s = now - t0;
-        Ok(JobReport {
-            deploy_s: dep.deploy_s,
-            load_s,
-            import_s,
-            predict_s,
-            inference_s,
-            e2e_s: dep.deploy_s + inference_s,
-            dollars,
-            outcomes,
-            retries,
-            wasted_s: retry_s + stall_s,
-            wasted_dollars: retry_dollars + stall_dollars,
-        })
-    }
-
-    /// Serves one request through a DAG deployment, starting at `t0`.
-    ///
     /// Node `v` is invoked at the *checkpoint-ready* instant: the maximum
     /// over its parents' completion times (the instant the last object it
-    /// reads finished its PUT), or `t0` for the root. Scatter siblings
-    /// therefore run concurrently in simulated time; `inference_s` is the
-    /// critical path (max node completion − `t0`) while `dollars` sums
-    /// every sandbox — the two axes a branch plan trades against each
-    /// other. Retry/backoff/billing semantics match
-    /// [`serve_one`](Self::serve_one) exactly.
+    /// reads finished its PUT), or `t0` for the root. On a chain that is
+    /// the previous partition's end; scatter siblings run concurrently in
+    /// simulated time, so `inference_s` is the critical path (max node
+    /// completion − `t0`) while `dollars` sums every sandbox.
+    ///
+    /// A failed invocation with a transient cause is retried up to
+    /// [`AmpsConfig::invoke_retries`] times with exponential backoff
+    /// (`backoff_base_s · 2^(n-1)`). Because every input object is
+    /// already checkpointed in storage, a retry resumes from there: only
+    /// the failed node re-runs, never the request. Retried attempts are
+    /// billed (real Lambda bills failures) and surfaced in
+    /// [`JobReport::retries`]/`wasted_s`/`wasted_dollars`.
     pub fn serve_one_dag(
         &self,
         platform: &mut Platform,
@@ -919,8 +728,11 @@ impl Coordinator {
         self.serve_one_dag_with(platform, dep, t0, &mut scratch)
     }
 
-    /// [`serve_one_dag`](Self::serve_one_dag) over prepared scratch — the
-    /// DAG twin of [`serve_one_with`](Self::serve_one_with).
+    /// [`serve_one_dag`](Self::serve_one_dag) over pre-interned keys and
+    /// reused work buffers — the allocation-free hot path of the batch
+    /// engines. `scratch` must have been
+    /// [`prepare`](DagServeScratch::prepare)d for this request's tag on
+    /// this platform.
     pub fn serve_one_dag_with(
         &self,
         platform: &mut Platform,
@@ -932,38 +744,35 @@ impl Coordinator {
         let mut outcomes: Vec<InvocationOutcome> = Vec::with_capacity(k);
         let mut retries: Vec<RetryRecord> = Vec::new();
         for v in 0..k {
-            let mut now = t0;
-            for &p in dep.producers_of(v) {
-                now = now.max(scratch.finish[p as usize]);
-            }
-            let work = &scratch.works[v];
-            let mut attempt: u32 = 0;
-            let out = loop {
-                match platform.invoke(dep.functions[v], now, work) {
-                    Ok(out) => break out,
-                    Err(failed) => {
-                        attempt += 1;
-                        if attempt > self.cfg.invoke_retries || !failed.reason.is_transient() {
-                            let wasted: f64 = retries.iter().map(|r| r.failed.dollars).sum::<f64>()
-                                + failed.dollars;
-                            let spent: f64 =
-                                outcomes.iter().map(|o| o.dollars).sum::<f64>() + wasted;
-                            return Err(ServeError {
-                                reason: failed.reason,
-                                lambda: v,
-                                attempts: attempt,
-                                elapsed_s: failed.end - t0,
-                                dollars: spent,
-                            });
-                        }
-                        let backoff_s = self.cfg.backoff_base_s * 2f64.powi(attempt as i32 - 1);
-                        now = failed.end + backoff_s;
-                        retries.push(RetryRecord {
-                            lambda: v,
-                            failed,
-                            backoff_s,
-                        });
-                    }
+            let ready = scratch.ready_at(dep, v, t0);
+            let retried_before = retries.len();
+            let result = self.invoke_with_retry(
+                platform,
+                dep.functions[v],
+                ready,
+                &scratch.works[v],
+                |failed, backoff_s| {
+                    retries.push(RetryRecord {
+                        lambda: v,
+                        failed,
+                        backoff_s,
+                    })
+                },
+            );
+            let out = match result {
+                Ok(out) => out,
+                Err(failed) => {
+                    let attempts = (retries.len() - retried_before) as u32 + 1;
+                    let wasted: f64 =
+                        retries.iter().map(|r| r.failed.dollars).sum::<f64>() + failed.dollars;
+                    let spent: f64 = outcomes.iter().map(|o| o.dollars).sum::<f64>() + wasted;
+                    return Err(ServeError {
+                        reason: failed.reason,
+                        lambda: v,
+                        attempts,
+                        elapsed_s: failed.end - t0,
+                        dollars: spent,
+                    });
                 }
             };
             scratch.finish[v] = out.end;
@@ -978,6 +787,8 @@ impl Coordinator {
             .map(|r| r.failed.duration() + r.backoff_s)
             .sum();
         let stall_s: f64 = outcomes.iter().map(|o| o.storage_retry_s).sum();
+        // Marginal GB-seconds the storage stalls billed inside the
+        // otherwise-successful invocations (attribution, not a new charge).
         let stall_dollars: f64 = outcomes
             .iter()
             .zip(&dep.functions)
@@ -1004,64 +815,90 @@ impl Coordinator {
         })
     }
 
-    /// Serves `images` requests in parallel (paper Table 5): all chains
-    /// start at `t0`; completion is the slowest chain. One dead image no
-    /// longer poisons the batch — it degrades into
+    /// Invokes `fid` at `start` and retries transient failures up to
+    /// [`AmpsConfig::invoke_retries`] times with exponential backoff
+    /// (`backoff_base_s · 2^(n-1)`), handing every retried failure and
+    /// its backoff to `on_retry`. Returns the final attempt's result.
+    fn invoke_with_retry(
+        &self,
+        platform: &mut Platform,
+        fid: FunctionId,
+        start: f64,
+        work: &InvocationWork,
+        mut on_retry: impl FnMut(FailedInvocation, f64),
+    ) -> Result<InvocationOutcome, FailedInvocation> {
+        let mut now = start;
+        let mut attempt: u32 = 0;
+        loop {
+            match platform.invoke(fid, now, work) {
+                Ok(out) => return Ok(out),
+                Err(failed) => {
+                    attempt += 1;
+                    if attempt > self.cfg.invoke_retries || !failed.reason.is_transient() {
+                        return Err(failed);
+                    }
+                    // Back off, then resume from the checkpointed inputs —
+                    // they are still in storage.
+                    let backoff_s = self.cfg.backoff_base_s * 2f64.powi(attempt as i32 - 1);
+                    now = failed.end + backoff_s;
+                    on_retry(failed, backoff_s);
+                }
+            }
+        }
+    }
+
+    /// Serves image `img` of a closed-loop batch at `t0` under the key tag
+    /// `img{img}`, reusing `scratch` and `tag`.
+    fn serve_image(
+        &self,
+        platform: &mut Platform,
+        dep: &DagDeployment,
+        (scratch, tag): &mut (DagServeScratch, String),
+        img: usize,
+        t0: f64,
+    ) -> Result<JobReport, ServeError> {
+        tag.clear();
+        let _ = write!(tag, "img{img}");
+        scratch.prepare(platform, dep, tag);
+        self.serve_one_dag_with(platform, dep, t0, scratch)
+    }
+
+    /// Serves `images` requests in parallel (paper Table 5): all requests
+    /// start at `t0`; completion is the slowest one. One dead image does
+    /// not poison the batch — it degrades into
     /// [`BatchReport::failures`] while the rest complete.
     ///
     /// With [`AmpsConfig::serve_lanes`] > 1 the images run on disjoint
     /// warm-pool shards (executed by up to [`AmpsConfig::serve_threads`]
     /// workers) and the per-image results merge back in image order — the
     /// report is bit-identical at every thread count. At the default
-    /// single lane the original serial engine runs unchanged.
+    /// single lane the images run serially on `platform` itself.
     pub fn serve_parallel(
         &self,
         platform: &mut Platform,
-        dep: &Deployment,
+        dep: &DagDeployment,
         images: usize,
         t0: f64,
     ) -> BatchReport {
-        if self.cfg.serve_lanes > 1 {
-            return self.serve_parallel_sharded(platform, dep, images, t0);
-        }
-        let mut batch = Self::empty_batch(dep, images);
-        let mut scratch = ServeScratch::for_deployment(dep);
-        let mut tag = String::new();
-        for img in 0..images {
-            tag.clear();
-            let _ = write!(tag, "img{img}");
-            scratch.prepare(platform, dep, &tag);
-            match self.serve_one_with(platform, dep, t0, &scratch) {
-                Ok(r) => {
-                    batch.completion_s = batch.completion_s.max(r.inference_s);
-                    Self::absorb_job(&mut batch, r);
-                }
-                Err(e) => {
-                    batch.completion_s = batch.completion_s.max(e.elapsed_s);
-                    Self::absorb_failure(&mut batch, img, e);
-                }
+        let state = || (DagServeScratch::for_deployment(dep), String::new());
+        let results: Vec<Result<JobReport, ServeError>> = if self.cfg.serve_lanes > 1 {
+            let starts = vec![t0; images];
+            let (results, shards) = self.run_lanes_generic(
+                platform,
+                &starts,
+                |_| state(),
+                |p, s, img, start| self.serve_image(p, dep, s, img, start),
+            );
+            for (shard, _) in shards {
+                platform.absorb_shard(shard);
             }
-        }
-        batch.e2e_s = dep.deploy_s + batch.completion_s;
-        batch
-    }
-
-    fn serve_parallel_sharded(
-        &self,
-        platform: &mut Platform,
-        dep: &Deployment,
-        images: usize,
-        t0: f64,
-    ) -> BatchReport {
-        let starts = vec![t0; images];
-        let (results, shards) = self.run_lanes(platform, dep, &starts, |p, scratch, idx, start| {
-            let mut tag = std::mem::take(&mut scratch.tag);
-            tag.clear();
-            let _ = write!(tag, "img{idx}");
-            scratch.prepare(p, dep, &tag);
-            scratch.tag = tag;
-            self.serve_one_with(p, dep, start, scratch)
-        });
+            results
+        } else {
+            let mut s = state();
+            (0..images)
+                .map(|img| self.serve_image(platform, dep, &mut s, img, t0))
+                .collect()
+        };
         let mut batch = Self::empty_batch(dep, images);
         for (img, result) in results.into_iter().enumerate() {
             match result {
@@ -1075,9 +912,6 @@ impl Coordinator {
                 }
             }
         }
-        for shard in shards {
-            platform.absorb_shard(shard);
-        }
         batch.e2e_s = dep.deploy_s + batch.completion_s;
         batch
     }
@@ -1089,19 +923,15 @@ impl Coordinator {
     pub fn serve_sequential(
         &self,
         platform: &mut Platform,
-        dep: &Deployment,
+        dep: &DagDeployment,
         images: usize,
         t0: f64,
     ) -> BatchReport {
         let mut batch = Self::empty_batch(dep, images);
-        let mut scratch = ServeScratch::for_deployment(dep);
-        let mut tag = String::new();
+        let mut state = (DagServeScratch::for_deployment(dep), String::new());
         let mut now = t0;
         for img in 0..images {
-            tag.clear();
-            let _ = write!(tag, "img{img}");
-            scratch.prepare(platform, dep, &tag);
-            match self.serve_one_with(platform, dep, now, &scratch) {
+            match self.serve_image(platform, dep, &mut state, img, now) {
                 Ok(r) => {
                     now += r.inference_s;
                     Self::absorb_job(&mut batch, r);
@@ -1117,27 +947,28 @@ impl Coordinator {
         batch
     }
 
-    /// Serves `images` requests through the pipelined chain — the
+    /// Serves `images` requests through pipeline stations — the
     /// closed-loop counterpart of [`serve_sequential`](Self::serve_sequential)
-    /// (all requests ready at `t0`, single warm pool), but with stages
-    /// overlapping across requests: every stage owns
+    /// (all requests ready at `t0`, single warm pool), but with nodes
+    /// overlapping across requests: every node owns
     /// [`AmpsConfig::pipeline_depth`] stations (defaulting to 1 when
-    /// pipelining is not configured), and request `k+1` enters stage `i`
-    /// as soon as its stage-`i−1` boundary tensor is checkpointed and a
-    /// station frees. Completion is therefore bottleneck-stage-bound —
+    /// pipelining is not configured), and request `k+1` enters node `v`
+    /// as soon as its inputs are checkpointed and a station frees. On a
+    /// chain, completion is therefore bottleneck-stage-bound —
     /// `fill + (n−1)·max_i t_i` on a clean run — instead of
     /// [`serve_sequential`](Self::serve_sequential)'s `n·Σ_i t_i`.
     pub fn serve_pipelined(
         &self,
         platform: &mut Platform,
-        dep: &Deployment,
+        dep: &DagDeployment,
         images: usize,
         t0: f64,
     ) -> PipelineReport {
         let depth = self.cfg.pipeline_depth.max(1);
-        let k = dep.functions.len();
-        let mut stations: Vec<StationPool> = (0..k).map(|_| StationPool::new(depth)).collect();
-        let mut scratch = ServeScratch::for_deployment(dep);
+        let mut stations: Vec<StationPool> = (0..dep.functions.len())
+            .map(|_| StationPool::new(depth))
+            .collect();
+        let mut scratch = DagServeScratch::for_deployment(dep);
         let idle_before = platform.warm_idle_accrued();
         let mut requests = Vec::with_capacity(images);
         let mut dollars = 0.0f64;
@@ -1145,7 +976,7 @@ impl Coordinator {
         let mut failed = 0usize;
         for _ in 0..images {
             scratch.prepare_anon(platform, dep);
-            let r = self.serve_lite_pipelined(platform, dep, t0, &scratch, &mut stations);
+            let r = self.serve_lite_dag(platform, dep, t0, &mut scratch, Some(&mut stations));
             completion = completion.max(r.arrival_s + r.latency_s);
             dollars += r.dollars;
             failed += usize::from(!r.ok);
@@ -1169,475 +1000,24 @@ impl Coordinator {
         }
     }
 
-    /// Serves an arrival trace (one request per entry of `arrivals`, in
-    /// seconds on the platform clock) through the sharded engine and
-    /// returns scalar per-request summaries — the open-loop load path.
-    ///
-    /// Requests never abort the run: one that exhausts its retry budget is
-    /// recorded (`ok == false`, counted in [`TraceReport::failures`]) and
-    /// the trace keeps serving. Storage is settled at the global last
-    /// completion, per lane in lane order, so the settlement is
-    /// deterministic and thread-count-independent too.
-    pub fn serve_trace(
-        &self,
-        platform: &mut Platform,
-        dep: &Deployment,
-        arrivals: &[f64],
-    ) -> TraceReport {
-        self.serve_trace_assigned(platform, std::slice::from_ref(dep), &|_| 0, arrivals)
-    }
-
-    /// [`serve_trace`](Self::serve_trace) over several deployments:
-    /// request `i` runs the chain `deps[assign(i)]` — the plan-cache
-    /// engine's entry point, where an adaptive controller switches plans
-    /// between load epochs. `assign` must be a pure function of the
-    /// request index (that is what keeps the report thread-invariant);
-    /// every returned index must be `< deps.len()`, and all deployments
-    /// must live on `platform`.
-    pub fn serve_trace_assigned(
-        &self,
-        platform: &mut Platform,
-        deps: &[Deployment],
-        assign: &(dyn Fn(usize) -> usize + Sync),
-        arrivals: &[f64],
-    ) -> TraceReport {
-        let (requests, shards) = self.run_lanes_assigned(
-            platform,
-            deps,
-            assign,
-            arrivals,
-            |p, scratch, d, _idx, t0| {
-                scratch.prepare_anon(p, &deps[d]);
-                self.serve_lite(p, &deps[d], t0, scratch)
-            },
-        );
-        let fids: Vec<FunctionId> = deps
-            .iter()
-            .flat_map(|d| d.functions.iter().copied())
-            .collect();
-        self.finish_trace(platform, &fids, requests, shards, None)
-    }
-
-    /// [`serve_trace`](Self::serve_trace) with pipelined stage execution
-    /// (DESIGN.md §6e): inside each lane, every chain stage owns
-    /// [`AmpsConfig::pipeline_depth`] stations, and stage `i` of request
-    /// `k+1` starts as soon as its input tensor is checkpointed *and* a
-    /// station frees — so stages overlap across requests instead of the
-    /// stage's warm instances idling while the rest of the chain runs.
-    ///
-    /// Stations admit strictly in request-index order (FIFO by arrival
-    /// index), and each lane's station state travels with its task, so
-    /// the report stays bit-identical at every thread count, faults on or
-    /// off, exactly like the sequential engine. Per-request RNG streams
-    /// are keyed identically ([`Platform::begin_request`]), so a given
-    /// request draws the same fault/storage fates in both modes.
-    pub fn serve_trace_pipelined(
-        &self,
-        platform: &mut Platform,
-        dep: &Deployment,
-        arrivals: &[f64],
-    ) -> TraceReport {
-        let depth = self.cfg.pipeline_depth.max(1);
-        let k = dep.functions.len();
-        let n = arrivals.len();
-        let lanes = self.cfg.serve_lanes.max(1).min(n.max(1));
-        let (requests, lane_outs) = self.run_lanes_stateful(
-            platform,
-            std::slice::from_ref(dep),
-            &|_| 0,
-            arrivals,
-            |_lane| -> Vec<StationPool> { (0..k).map(|_| StationPool::new(depth)).collect() },
-            |p, scratch, stations, _d, _idx, t0| {
-                scratch.prepare_anon(p, dep);
-                self.serve_lite_pipelined(p, dep, t0, scratch, stations)
-            },
-        );
-        // Fold the per-lane station measurements in lane order; the span
-        // is filled in by `finish_trace` once the last completion is known.
-        let mut stats = PipelineStats {
-            stations_per_stage: depth * lanes,
-            stage_busy_s: vec![0.0; k],
-            stage_stall_s: vec![0.0; k],
-            span_s: 0.0,
-        };
-        let mut shards = Vec::with_capacity(lane_outs.len());
-        for (shard, stations) in lane_outs {
-            for (i, st) in stations.iter().enumerate() {
-                stats.stage_busy_s[i] += st.busy_s();
-                stats.stage_stall_s[i] += st.stall_s();
-            }
-            shards.push(shard);
-        }
-        stats.span_s = arrivals.first().copied().unwrap_or(0.0);
-        self.finish_trace(platform, &dep.functions, requests, shards, Some(stats))
-    }
-
-    /// Serves an arrival trace through a branch-parallel DAG deployment —
-    /// the DAG twin of [`serve_trace`](Self::serve_trace), on the same
-    /// work-stealing lane machinery: request `i` runs on lane
-    /// `i % serve_lanes` with its RNG streams keyed by index
-    /// ([`Platform::begin_request`]), each request executes its nodes in
-    /// topological index order with the deterministic `(request, node)`
-    /// ready recurrence of [`serve_lite_dag`](Self::serve_lite_dag), and
-    /// results merge in global index order — so the report is
-    /// bit-identical at every thread count, faults on or off. On a
-    /// chain-shaped plan ([`DagPlan::from_chain`]) it reproduces
-    /// [`serve_trace`](Self::serve_trace) bit-for-bit.
-    pub fn serve_trace_dag(
-        &self,
-        platform: &mut Platform,
-        dep: &DagDeployment,
-        arrivals: &[f64],
-    ) -> TraceReport {
-        let k = dep.functions.len();
-        let (requests, lane_outs) = self.run_lanes_generic(
-            platform,
-            arrivals,
-            |_lane| DagServeScratch::for_deployment(dep),
-            |p, scratch: &mut DagServeScratch, _idx, t0| {
-                scratch.prepare_anon(p, dep);
-                self.serve_lite_dag(p, dep, t0, scratch)
-            },
-        );
-        let mut stats = DagNodeStats {
-            // 0: the sequential engine scales instances out on demand, so
-            // no station count bounds per-node concurrency.
-            stations_per_node: 0,
-            busy_s: vec![0.0; k],
-            stall_s: vec![0.0; k],
-            crit_s: vec![0.0; k],
-            span_s: arrivals.first().copied().unwrap_or(0.0),
-        };
-        let mut shards = Vec::with_capacity(lane_outs.len());
-        for (shard, mut scratch) in lane_outs {
-            scratch.drain_into(&mut stats);
-            shards.push(shard);
-        }
-        let mut report = self.finish_trace(platform, &dep.functions, requests, shards, None);
-        stats.span_s = (report.last_completion_s - stats.span_s).max(0.0);
-        report.dag_nodes = Some(stats);
-        report
-    }
-
-    /// [`serve_trace_dag`](Self::serve_trace_dag) over several DAG
-    /// deployments: request `i` runs `deps[assign(i)]` — the plan-cache
-    /// engine's DAG entry point, where an adaptive controller switches
-    /// effective plans (chain-shaped or branch-parallel, both deployed as
-    /// DAGs) between load epochs. `assign` must be a pure function of the
-    /// request index; every returned index must be `< deps.len()`, and
-    /// all deployments must live on `platform`. Per-node stats are not
-    /// folded here (node indices mean different things across
-    /// deployments), so `dag_nodes` stays `None`.
-    pub fn serve_trace_assigned_dag(
-        &self,
-        platform: &mut Platform,
-        deps: &[DagDeployment],
-        assign: &(dyn Fn(usize) -> usize + Sync),
-        arrivals: &[f64],
-    ) -> TraceReport {
-        let (requests, lane_outs) = self.run_lanes_generic(
-            platform,
-            arrivals,
-            |_lane| -> Vec<DagServeScratch> {
-                deps.iter().map(DagServeScratch::for_deployment).collect()
-            },
-            |p, scratches: &mut Vec<DagServeScratch>, idx, t0| {
-                let d = assign(idx);
-                let scratch = &mut scratches[d];
-                scratch.prepare_anon(p, &deps[d]);
-                self.serve_lite_dag(p, &deps[d], t0, scratch)
-            },
-        );
-        let shards = lane_outs.into_iter().map(|(p, _)| p).collect();
-        let fids: Vec<FunctionId> = deps
-            .iter()
-            .flat_map(|d| d.functions.iter().copied())
-            .collect();
-        self.finish_trace(platform, &fids, requests, shards, None)
-    }
-
-    /// [`serve_trace_dag`](Self::serve_trace_dag) with pipeline-station
-    /// admission: every DAG node owns [`AmpsConfig::pipeline_depth`]
-    /// stations per lane, and node `v` of a later request starts as soon
-    /// as its input objects are checkpointed *and* a station frees.
-    /// Station state travels with the lane task, so the report stays
-    /// bit-identical at every thread count; on a chain-shaped plan it
-    /// reproduces [`serve_trace_pipelined`](Self::serve_trace_pipelined)
-    /// bit-for-bit.
-    pub fn serve_trace_dag_pipelined(
-        &self,
-        platform: &mut Platform,
-        dep: &DagDeployment,
-        arrivals: &[f64],
-    ) -> TraceReport {
-        let depth = self.cfg.pipeline_depth.max(1);
-        let k = dep.functions.len();
-        let n = arrivals.len();
-        let lanes = self.cfg.serve_lanes.max(1).min(n.max(1));
-        let (requests, lane_outs) = self.run_lanes_generic(
-            platform,
-            arrivals,
-            |_lane| {
-                let stations: Vec<StationPool> = (0..k).map(|_| StationPool::new(depth)).collect();
-                (DagServeScratch::for_deployment(dep), stations)
-            },
-            |p, lane_state: &mut (DagServeScratch, Vec<StationPool>), _idx, t0| {
-                let (scratch, stations) = lane_state;
-                scratch.prepare_anon(p, dep);
-                self.serve_lite_dag_pipelined(p, dep, t0, scratch, stations)
-            },
-        );
-        let mut stats = PipelineStats {
-            stations_per_stage: depth * lanes,
-            stage_busy_s: vec![0.0; k],
-            stage_stall_s: vec![0.0; k],
-            span_s: 0.0,
-        };
-        let mut node_stats = DagNodeStats {
-            stations_per_node: depth * lanes,
-            busy_s: vec![0.0; k],
-            stall_s: vec![0.0; k],
-            crit_s: vec![0.0; k],
-            span_s: arrivals.first().copied().unwrap_or(0.0),
-        };
-        let mut shards = Vec::with_capacity(lane_outs.len());
-        for (shard, (mut scratch, stations)) in lane_outs {
-            for (i, st) in stations.iter().enumerate() {
-                stats.stage_busy_s[i] += st.busy_s();
-                stats.stage_stall_s[i] += st.stall_s();
-            }
-            scratch.drain_into(&mut node_stats);
-            shards.push(shard);
-        }
-        stats.span_s = arrivals.first().copied().unwrap_or(0.0);
-        let mut report = self.finish_trace(platform, &dep.functions, requests, shards, Some(stats));
-        node_stats.span_s = (report.last_completion_s - node_stats.span_s).max(0.0);
-        report.dag_nodes = Some(node_stats);
-        report
-    }
-
-    /// Shared trace aggregation: settle storage and warm pools per shard
-    /// in lane order, absorb shards, and assemble the report. When
-    /// `pipeline` is given, its `span_s` field arrives holding the first
-    /// arrival time and leaves holding `last_completion − first_arrival`.
-    fn finish_trace(
-        &self,
-        platform: &mut Platform,
-        functions: &[FunctionId],
-        requests: Vec<RequestSummary>,
-        shards: Vec<Platform>,
-        pipeline: Option<PipelineStats>,
-    ) -> TraceReport {
-        let mut dollars = 0.0f64;
-        let mut last_completion = 0.0f64;
-        let mut failures = 0usize;
-        for r in &requests {
-            dollars += r.dollars;
-            last_completion = last_completion.max(r.arrival_s + r.latency_s);
-            failures += usize::from(!r.ok);
-        }
-        let mut settled = platform.settle_storage(last_completion);
-        let mut idle_s = 0.0f64;
-        let mut idle_dollars = 0.0f64;
-        let mut invocations = 0u64;
-        let mut shards = shards;
-        for shard in &mut shards {
-            settled += shard.settle_storage(last_completion);
-            let (lane_idle, lane_idle_dollars) = shard.settle_warm_pool(last_completion);
-            idle_s += lane_idle;
-            idle_dollars += lane_idle_dollars;
-            invocations += shard.invocation_count();
-        }
-        for shard in shards {
-            platform.absorb_shard(shard);
-        }
-        let mut fids: Vec<FunctionId> = functions.to_vec();
-        fids.sort_by_key(|f| f.0);
-        fids.dedup();
-        let cold_starts = fids.iter().map(|&f| platform.cold_starts(f)).sum();
-        let peak_instances = fids
-            .iter()
-            .map(|&f| platform.instance_count(f))
-            .max()
-            .unwrap_or(0);
-        let pipeline = pipeline.map(|mut stats| {
-            stats.span_s = (last_completion - stats.span_s).max(0.0);
-            stats
-        });
-        TraceReport {
-            requests,
-            dollars,
-            settled_dollars: settled,
-            last_completion_s: last_completion,
-            cold_starts,
-            peak_instances,
-            failures,
-            invocations,
-            pre_warmed: platform.pre_warmed_total(),
-            idle_s,
-            idle_dollars,
-            pipeline,
-            dag_nodes: None,
-        }
-    }
-
-    /// [`serve_one_with`](Self::serve_one_with) reduced to the scalars a
-    /// [`RequestSummary`] carries: same invoke/retry/backoff loop and the
-    /// same accounting, but no per-outcome or per-retry allocation.
-    fn serve_lite(
-        &self,
-        platform: &mut Platform,
-        dep: &Deployment,
-        t0: f64,
-        scratch: &ServeScratch,
-    ) -> RequestSummary {
-        let k = dep.functions.len();
-        let mut now = t0;
-        let mut dollars = 0.0f64;
-        let mut retry_dollars = 0.0f64;
-        let mut retry_s = 0.0f64;
-        let mut stall_s = 0.0f64;
-        let mut stall_dollars = 0.0f64;
-        let mut n_retries: u32 = 0;
-        for i in 0..k {
-            let mut attempt: u32 = 0;
-            let out = loop {
-                match platform.invoke(dep.functions[i], now, &scratch.works[i]) {
-                    Ok(out) => break out,
-                    Err(failed) => {
-                        attempt += 1;
-                        if attempt > self.cfg.invoke_retries || !failed.reason.is_transient() {
-                            // Mirror `absorb_failure`: the doomed request's
-                            // whole spend and elapsed time produced nothing.
-                            let spent = dollars + retry_dollars + failed.dollars;
-                            return RequestSummary {
-                                arrival_s: t0,
-                                latency_s: failed.end - t0,
-                                dollars: spent,
-                                retries: n_retries,
-                                wasted_s: failed.end - t0,
-                                wasted_dollars: spent,
-                                ok: false,
-                            };
-                        }
-                        let backoff_s = self.cfg.backoff_base_s * 2f64.powi(attempt as i32 - 1);
-                        now = failed.end + backoff_s;
-                        n_retries += 1;
-                        retry_dollars += failed.dollars;
-                        retry_s += failed.duration() + backoff_s;
-                    }
-                }
-            };
-            now = out.end;
-            dollars += out.dollars;
-            stall_s += out.storage_retry_s;
-            if out.storage_retry_s > 0.0 {
-                let mem = platform.spec(dep.functions[i]).map_or(0, |s| s.memory_mb);
-                stall_dollars += self
-                    .cfg
-                    .prices
-                    .lambda_compute_cost(out.storage_retry_s, mem);
-            }
-        }
-        RequestSummary {
-            arrival_s: t0,
-            latency_s: now - t0,
-            dollars: dollars + retry_dollars,
-            retries: n_retries,
-            wasted_s: retry_s + stall_s,
-            wasted_dollars: retry_dollars + stall_dollars,
-            ok: true,
-        }
-    }
-
-    /// [`serve_lite`](Self::serve_lite) with pipeline-station admission:
-    /// each stage's invocation is gated behind `stations[i]` — it starts
-    /// at `max(ready, earliest station free)` instead of immediately at
-    /// `ready`, and occupies its station through every retry and backoff
-    /// until the attempt chain resolves. Station waits lengthen the
-    /// request's latency but are *not* waste (they are pipeline stalls,
-    /// accumulated on the pool and surfaced via [`PipelineStats`]).
-    fn serve_lite_pipelined(
-        &self,
-        platform: &mut Platform,
-        dep: &Deployment,
-        t0: f64,
-        scratch: &ServeScratch,
-        stations: &mut [StationPool],
-    ) -> RequestSummary {
-        let mut ready = t0;
-        let mut dollars = 0.0f64;
-        let mut retry_dollars = 0.0f64;
-        let mut retry_s = 0.0f64;
-        let mut stall_s = 0.0f64;
-        let mut stall_dollars = 0.0f64;
-        let mut n_retries: u32 = 0;
-        for (i, pool) in stations.iter_mut().enumerate() {
-            let (station, start) = pool.admit(ready);
-            let mut now = start;
-            let mut attempt: u32 = 0;
-            let out = loop {
-                match platform.invoke(dep.functions[i], now, &scratch.works[i]) {
-                    Ok(out) => break out,
-                    Err(failed) => {
-                        attempt += 1;
-                        if attempt > self.cfg.invoke_retries || !failed.reason.is_transient() {
-                            // The doomed request occupied its station until
-                            // the final attempt ended.
-                            pool.release(station, start, failed.end);
-                            let spent = dollars + retry_dollars + failed.dollars;
-                            return RequestSummary {
-                                arrival_s: t0,
-                                latency_s: failed.end - t0,
-                                dollars: spent,
-                                retries: n_retries,
-                                wasted_s: failed.end - t0,
-                                wasted_dollars: spent,
-                                ok: false,
-                            };
-                        }
-                        let backoff_s = self.cfg.backoff_base_s * 2f64.powi(attempt as i32 - 1);
-                        now = failed.end + backoff_s;
-                        n_retries += 1;
-                        retry_dollars += failed.dollars;
-                        retry_s += failed.duration() + backoff_s;
-                    }
-                }
-            };
-            pool.release(station, start, out.end);
-            ready = out.end;
-            dollars += out.dollars;
-            stall_s += out.storage_retry_s;
-            if out.storage_retry_s > 0.0 {
-                let mem = platform.spec(dep.functions[i]).map_or(0, |s| s.memory_mb);
-                stall_dollars += self
-                    .cfg
-                    .prices
-                    .lambda_compute_cost(out.storage_retry_s, mem);
-            }
-        }
-        RequestSummary {
-            arrival_s: t0,
-            latency_s: ready - t0,
-            dollars: dollars + retry_dollars,
-            retries: n_retries,
-            wasted_s: retry_s + stall_s,
-            wasted_dollars: retry_dollars + stall_dollars,
-            ok: true,
-        }
-    }
-
     /// [`serve_one_dag_with`](Self::serve_one_dag_with) reduced to the
-    /// scalars a [`RequestSummary`] carries — the DAG twin of
-    /// [`serve_lite`](Self::serve_lite). On a chain-shaped plan the
-    /// ready recurrence degenerates to `now = previous end` and the
-    /// result is bit-identical to the chain engine's.
+    /// scalars a [`RequestSummary`] carries: same retry loop and the same
+    /// accounting, but no per-outcome or per-retry allocation.
+    ///
+    /// With `stations`, node `v`'s invocation is gated behind
+    /// `stations[v]`: it starts at `max(ready, earliest station free)`
+    /// and occupies its station through every retry and backoff until
+    /// the attempt chain resolves. Station waits lengthen the request's
+    /// latency but are *not* waste (they are pipeline stalls, accumulated
+    /// on the pool). Without stations, every node starts when its inputs
+    /// are ready and the platform scales instances out on demand.
     fn serve_lite_dag(
         &self,
         platform: &mut Platform,
         dep: &DagDeployment,
         t0: f64,
         scratch: &mut DagServeScratch,
+        mut stations: Option<&mut [StationPool]>,
     ) -> RequestSummary {
         let k = dep.functions.len();
         let mut dollars = 0.0f64;
@@ -1647,38 +1027,47 @@ impl Coordinator {
         let mut stall_dollars = 0.0f64;
         let mut n_retries: u32 = 0;
         for v in 0..k {
-            // Checkpoint-ready: every object this node reads is written.
-            let mut ready = t0;
-            for &p in dep.producers_of(v) {
-                ready = ready.max(scratch.finish[p as usize]);
-            }
-            let mut now = ready;
-            let mut attempt: u32 = 0;
-            let out = loop {
-                match platform.invoke(dep.functions[v], now, &scratch.works[v]) {
-                    Ok(out) => break out,
-                    Err(failed) => {
-                        attempt += 1;
-                        if attempt > self.cfg.invoke_retries || !failed.reason.is_transient() {
-                            let spent = dollars + retry_dollars + failed.dollars;
-                            return RequestSummary {
-                                arrival_s: t0,
-                                latency_s: failed.end - t0,
-                                dollars: spent,
-                                retries: n_retries,
-                                wasted_s: failed.end - t0,
-                                wasted_dollars: spent,
-                                ok: false,
-                            };
-                        }
-                        let backoff_s = self.cfg.backoff_base_s * 2f64.powi(attempt as i32 - 1);
-                        now = failed.end + backoff_s;
-                        n_retries += 1;
-                        retry_dollars += failed.dollars;
-                        retry_s += failed.duration() + backoff_s;
+            let ready = scratch.ready_at(dep, v, t0);
+            let (station, start) = match stations.as_deref_mut() {
+                Some(pools) => pools[v].admit(ready),
+                None => (0, ready),
+            };
+            let result = self.invoke_with_retry(
+                platform,
+                dep.functions[v],
+                start,
+                &scratch.works[v],
+                |failed, backoff_s| {
+                    n_retries += 1;
+                    retry_dollars += failed.dollars;
+                    retry_s += failed.duration() + backoff_s;
+                },
+            );
+            let out = match result {
+                Ok(out) => out,
+                Err(failed) => {
+                    // The doomed request held its station until the final
+                    // attempt ended.
+                    if let Some(pools) = stations {
+                        pools[v].release(station, start, failed.end);
                     }
+                    // Mirror `absorb_failure`: the doomed request's whole
+                    // spend and elapsed time produced nothing.
+                    let spent = dollars + retry_dollars + failed.dollars;
+                    return RequestSummary {
+                        arrival_s: t0,
+                        latency_s: failed.end - t0,
+                        dollars: spent,
+                        retries: n_retries,
+                        wasted_s: failed.end - t0,
+                        wasted_dollars: spent,
+                        ok: false,
+                    };
                 }
             };
+            if let Some(pools) = stations.as_deref_mut() {
+                pools[v].release(station, start, out.end);
+            }
             scratch.finish[v] = out.end;
             scratch.dur[v] = out.end - out.start;
             scratch.busy_s[v] += out.end - out.start;
@@ -1742,112 +1131,185 @@ impl Coordinator {
         }
     }
 
-    /// [`serve_lite_dag`](Self::serve_lite_dag) with pipeline-station
-    /// admission, the DAG twin of
-    /// [`serve_lite_pipelined`](Self::serve_lite_pipelined): node `v` of
-    /// a later request enters its station pool as soon as its input
-    /// objects are checkpointed and a station frees, so stages overlap
-    /// across requests and branches overlap within one.
-    fn serve_lite_dag_pipelined(
+    /// Serves an arrival trace (one request per entry of `arrivals`, in
+    /// seconds on the platform clock) through one deployment on the
+    /// sharded engine and returns scalar per-request summaries — the
+    /// open-loop load path for chains (width-1 DAGs) and branch plans
+    /// alike.
+    ///
+    /// Request `i` runs on lane `i % serve_lanes` with its RNG streams
+    /// keyed by index ([`Platform::begin_request`]), executes its nodes in
+    /// topological index order with the deterministic `(request, node)`
+    /// ready recurrence, and results merge in global index order — so the
+    /// report is bit-identical at every thread count, faults on or off.
+    ///
+    /// With [`AmpsConfig::pipeline_depth`] `d > 0`, every node owns `d`
+    /// stations per lane (DESIGN.md §6e): node `v` of request `k+1`
+    /// starts as soon as its inputs are checkpointed *and* a station
+    /// frees, stations admit in request-index order, and the report
+    /// carries [`TraceReport::pipeline`]. At depth 0 instances scale out
+    /// on demand. Per-request RNG streams are keyed identically in both
+    /// modes, so a given request draws the same fault/storage fates.
+    ///
+    /// Requests never abort the run: one that exhausts its retry budget is
+    /// recorded (`ok == false`, counted in [`TraceReport::failures`]) and
+    /// the trace keeps serving. Storage is settled at the global last
+    /// completion, per lane in lane order.
+    pub fn serve_trace_dag(
         &self,
         platform: &mut Platform,
         dep: &DagDeployment,
-        t0: f64,
-        scratch: &mut DagServeScratch,
-        stations: &mut [StationPool],
-    ) -> RequestSummary {
+        arrivals: &[f64],
+    ) -> TraceReport {
         let k = dep.functions.len();
-        let mut dollars = 0.0f64;
-        let mut retry_dollars = 0.0f64;
-        let mut retry_s = 0.0f64;
-        let mut stall_s = 0.0f64;
-        let mut stall_dollars = 0.0f64;
-        let mut n_retries: u32 = 0;
-        for (v, pool) in stations.iter_mut().enumerate().take(k) {
-            let mut ready = t0;
-            for &p in dep.producers_of(v) {
-                ready = ready.max(scratch.finish[p as usize]);
-            }
-            let (station, start) = pool.admit(ready);
-            let mut now = start;
-            let mut attempt: u32 = 0;
-            let out = loop {
-                match platform.invoke(dep.functions[v], now, &scratch.works[v]) {
-                    Ok(out) => break out,
-                    Err(failed) => {
-                        attempt += 1;
-                        if attempt > self.cfg.invoke_retries || !failed.reason.is_transient() {
-                            pool.release(station, start, failed.end);
-                            let spent = dollars + retry_dollars + failed.dollars;
-                            return RequestSummary {
-                                arrival_s: t0,
-                                latency_s: failed.end - t0,
-                                dollars: spent,
-                                retries: n_retries,
-                                wasted_s: failed.end - t0,
-                                wasted_dollars: spent,
-                                ok: false,
-                            };
-                        }
-                        let backoff_s = self.cfg.backoff_base_s * 2f64.powi(attempt as i32 - 1);
-                        now = failed.end + backoff_s;
-                        n_retries += 1;
-                        retry_dollars += failed.dollars;
-                        retry_s += failed.duration() + backoff_s;
-                    }
+        let (mut report, lanes) =
+            self.serve_trace_lanes(platform, std::slice::from_ref(dep), |_| 0, arrivals);
+        let first = arrivals.first().copied().unwrap_or(0.0);
+        let span_s = (report.last_completion_s - first).max(0.0);
+        let stations = self.cfg.pipeline_depth * lanes.len();
+        let mut nodes = DagNodeStats {
+            stations_per_node: stations,
+            busy_s: vec![0.0; k],
+            stall_s: vec![0.0; k],
+            crit_s: vec![0.0; k],
+            span_s,
+        };
+        let mut pipeline = (stations > 0).then(|| PipelineStats {
+            stations_per_stage: stations,
+            stage_busy_s: vec![0.0; k],
+            stage_stall_s: vec![0.0; k],
+            span_s,
+        });
+        // Fold the per-lane measurements in lane order.
+        for mut lane in lanes {
+            let (scratch, pools) = &mut lane[0];
+            scratch.drain_into(&mut nodes);
+            if let Some(stats) = &mut pipeline {
+                for (v, pool) in pools.iter().enumerate() {
+                    stats.stage_busy_s[v] += pool.busy_s();
+                    stats.stage_stall_s[v] += pool.stall_s();
                 }
-            };
-            pool.release(station, start, out.end);
-            scratch.finish[v] = out.end;
-            scratch.dur[v] = out.end - out.start;
-            scratch.busy_s[v] += out.end - out.start;
-            scratch.stall_s[v] += (out.start - ready) + out.storage_retry_s;
-            dollars += out.dollars;
-            stall_s += out.storage_retry_s;
-            if out.storage_retry_s > 0.0 {
-                let mem = platform.spec(dep.functions[v]).map_or(0, |s| s.memory_mb);
-                stall_dollars += self
-                    .cfg
-                    .prices
-                    .lambda_compute_cost(out.storage_retry_s, mem);
             }
         }
-        let done = scratch.finish[..k].iter().fold(t0, |a, &b| a.max(b));
-        self.accumulate_critical_path(dep, scratch, k);
-        RequestSummary {
-            arrival_s: t0,
-            latency_s: done - t0,
-            dollars: dollars + retry_dollars,
-            retries: n_retries,
-            wasted_s: retry_s + stall_s,
-            wasted_dollars: retry_dollars + stall_dollars,
-            ok: true,
-        }
+        report.pipeline = pipeline;
+        report.dag_nodes = Some(nodes);
+        report
     }
 
-    /// Runs `f` once per request across [`AmpsConfig::serve_lanes`]
-    /// warm-pool shards, executed by up to [`AmpsConfig::serve_threads`]
-    /// workers (0 = auto), and merges deterministically: per-request
-    /// results in global index order, shard platforms in lane order.
-    /// `f` receives `(platform, scratch, request_index, start)`.
-    fn run_lanes<R, F>(
+    /// [`serve_trace_dag`](Self::serve_trace_dag) over several
+    /// deployments: request `i` runs `deps[assign(i)]` — the plan-cache
+    /// engine's entry point, where an adaptive controller switches plans
+    /// between load epochs. `assign` must be a pure function of the
+    /// request index (that is what keeps the report thread-invariant);
+    /// every returned index must be `< deps.len()`, and all deployments
+    /// must live on `platform`. Per-node and station stats are not folded
+    /// here (node indices mean different things across deployments), so
+    /// `dag_nodes` and `pipeline` stay `None`.
+    pub fn serve_trace_assigned_dag(
         &self,
-        base: &Platform,
-        dep: &Deployment,
-        starts: &[f64],
-        f: F,
-    ) -> (Vec<R>, Vec<Platform>)
-    where
-        R: Send,
-        F: Fn(&mut Platform, &mut ServeScratch, usize, f64) -> R + Sync,
-    {
-        self.run_lanes_assigned(
-            base,
-            std::slice::from_ref(dep),
-            &|_| 0,
-            starts,
-            move |p, scratch, _d, idx, t0| f(p, scratch, idx, t0),
-        )
+        platform: &mut Platform,
+        deps: &[DagDeployment],
+        assign: &(dyn Fn(usize) -> usize + Sync),
+        arrivals: &[f64],
+    ) -> TraceReport {
+        self.serve_trace_lanes(platform, deps, assign, arrivals).0
+    }
+
+    /// The trace engine: runs every request on the lane runner with one
+    /// scratch (and, when pipelined, one station pool per node) per
+    /// deployment riding along with each lane, then settles the shards.
+    /// Returns the report without per-node or station stats, plus every
+    /// lane's final per-deployment state in lane order.
+    fn serve_trace_lanes(
+        &self,
+        platform: &mut Platform,
+        deps: &[DagDeployment],
+        assign: impl Fn(usize) -> usize + Sync,
+        arrivals: &[f64],
+    ) -> (TraceReport, Vec<Vec<LaneDeployment>>) {
+        let depth = self.cfg.pipeline_depth;
+        let (requests, lanes) = self.run_lanes_generic(
+            platform,
+            arrivals,
+            |_lane| -> Vec<LaneDeployment> {
+                deps.iter()
+                    .map(|d| {
+                        let k = if depth > 0 { d.functions.len() } else { 0 };
+                        let pools = (0..k).map(|_| StationPool::new(depth)).collect();
+                        (DagServeScratch::for_deployment(d), pools)
+                    })
+                    .collect()
+            },
+            |p, lane: &mut Vec<LaneDeployment>, idx, t0| {
+                let d = assign(idx);
+                let (scratch, pools) = &mut lane[d];
+                scratch.prepare_anon(p, &deps[d]);
+                let pools = (depth > 0).then_some(pools.as_mut_slice());
+                self.serve_lite_dag(p, &deps[d], t0, scratch, pools)
+            },
+        );
+        let (shards, states): (Vec<Platform>, Vec<Vec<LaneDeployment>>) = lanes.into_iter().unzip();
+        (self.finish_trace(platform, deps, requests, shards), states)
+    }
+
+    /// Shared trace aggregation: settle storage and warm pools per shard
+    /// in lane order, absorb shards, and assemble the report.
+    fn finish_trace(
+        &self,
+        platform: &mut Platform,
+        deps: &[DagDeployment],
+        requests: Vec<RequestSummary>,
+        mut shards: Vec<Platform>,
+    ) -> TraceReport {
+        let mut dollars = 0.0f64;
+        let mut last_completion = 0.0f64;
+        let mut failures = 0usize;
+        for r in &requests {
+            dollars += r.dollars;
+            last_completion = last_completion.max(r.arrival_s + r.latency_s);
+            failures += usize::from(!r.ok);
+        }
+        let mut settled = platform.settle_storage(last_completion);
+        let mut idle_s = 0.0f64;
+        let mut idle_dollars = 0.0f64;
+        let mut invocations = 0u64;
+        for shard in &mut shards {
+            settled += shard.settle_storage(last_completion);
+            let (lane_idle, lane_idle_dollars) = shard.settle_warm_pool(last_completion);
+            idle_s += lane_idle;
+            idle_dollars += lane_idle_dollars;
+            invocations += shard.invocation_count();
+        }
+        for shard in shards {
+            platform.absorb_shard(shard);
+        }
+        let mut fids: Vec<FunctionId> = deps
+            .iter()
+            .flat_map(|d| d.functions.iter().copied())
+            .collect();
+        fids.sort_by_key(|f| f.0);
+        fids.dedup();
+        let cold_starts = fids.iter().map(|&f| platform.cold_starts(f)).sum();
+        let peak_instances = fids
+            .iter()
+            .map(|&f| platform.instance_count(f))
+            .max()
+            .unwrap_or(0);
+        TraceReport {
+            requests,
+            dollars,
+            settled_dollars: settled,
+            last_completion_s: last_completion,
+            cold_starts,
+            peak_instances,
+            failures,
+            invocations,
+            pre_warmed: platform.pre_warmed_total(),
+            idle_s,
+            idle_dollars,
+            pipeline: None,
+            dag_nodes: None,
+        }
     }
 
     /// Number of requests lane `lane` owns when `n` requests round-robin
@@ -1861,8 +1323,8 @@ impl Coordinator {
     }
 
     /// The work-stealing core of the sharded serving engine (DESIGN.md
-    /// §6d): every lane is a self-contained task (shard platform, one
-    /// scratch per deployment, result buffer, progress cursor) on a shared
+    /// §6d): every lane is a self-contained task (shard platform, lane
+    /// state, result buffer, progress cursor) on a shared
     /// queue; workers pop a task, advance it one *chunk* of requests, and
     /// either requeue it or deposit it in its lane slot when exhausted.
     /// Chunking amortizes queue traffic while letting an idle worker steal
@@ -1881,76 +1343,13 @@ impl Coordinator {
     /// Warm-pool pre-warming ([`AmpsConfig::warm_pool`]) happens here,
     /// per shard: lane `l` gets `⌈(pre_warm - l) / lanes⌉` of the policy's
     /// instances, so the split is deterministic and the sum exact.
-    fn run_lanes_assigned<R, F>(
-        &self,
-        base: &Platform,
-        deps: &[Deployment],
-        assign: &(dyn Fn(usize) -> usize + Sync),
-        starts: &[f64],
-        f: F,
-    ) -> (Vec<R>, Vec<Platform>)
-    where
-        R: Send,
-        F: Fn(&mut Platform, &mut ServeScratch, usize, usize, f64) -> R + Sync,
-    {
-        let (results, lanes) = self.run_lanes_stateful(
-            base,
-            deps,
-            assign,
-            starts,
-            |_| (),
-            move |p, scratch, _, d, idx, t0| f(p, scratch, d, idx, t0),
-        );
-        (results, lanes.into_iter().map(|(p, ())| p).collect())
-    }
-
-    /// [`run_lanes_assigned`](Self::run_lanes_assigned) with an arbitrary
-    /// per-lane state `S` riding along with the lane's task (the pipelined
-    /// engine's station pools). The state is created per lane by `init`,
-    /// mutated only by that lane's requests (in index order), and returned
-    /// with the shard platform in lane order — so it inherits the same
-    /// thread-count invariance as the platform itself.
-    fn run_lanes_stateful<R, S, F, I>(
-        &self,
-        base: &Platform,
-        deps: &[Deployment],
-        assign: &(dyn Fn(usize) -> usize + Sync),
-        starts: &[f64],
-        init: I,
-        f: F,
-    ) -> (Vec<R>, Vec<(Platform, S)>)
-    where
-        R: Send,
-        S: Send,
-        I: Fn(usize) -> S + Sync,
-        F: Fn(&mut Platform, &mut ServeScratch, &mut S, usize, usize, f64) -> R + Sync,
-    {
-        let (results, lanes) = self.run_lanes_generic(
-            base,
-            starts,
-            |lane| {
-                let scratches: Vec<ServeScratch> =
-                    deps.iter().map(ServeScratch::for_deployment).collect();
-                (scratches, init(lane))
-            },
-            move |p, lane_state: &mut (Vec<ServeScratch>, S), idx, t0| {
-                let d = assign(idx);
-                f(p, &mut lane_state.0[d], &mut lane_state.1, d, idx, t0)
-            },
-        );
-        (
-            results,
-            lanes.into_iter().map(|(p, (_, s))| (p, s)).collect(),
-        )
-    }
-
-    /// The scratch-agnostic core of the lane machinery: like
-    /// [`run_lanes_stateful`](Self::run_lanes_stateful) but the entire
-    /// per-lane mutable state — chain scratches, DAG scratches, station
-    /// pools, anything — is the caller-built `S`. This is what lets the
-    /// DAG engines reuse the work-stealing queue, the chunking, and the
-    /// deterministic merge without the chain's [`ServeScratch`] being
-    /// baked into the lane task.
+    ///
+    /// `f` receives `(platform, lane_state, request_index, start)`. The
+    /// per-lane mutable state `S` — request scratches, station pools,
+    /// anything — is created per lane by `init`, mutated only by that
+    /// lane's requests (in index order), and returned with the shard
+    /// platform in lane order, so it inherits the same thread-count
+    /// invariance as the platform itself.
     fn run_lanes_generic<R, S, F, I>(
         &self,
         base: &Platform,
@@ -2068,7 +1467,7 @@ impl Coordinator {
         (merged, lanes_out)
     }
 
-    fn empty_batch(dep: &Deployment, images: usize) -> BatchReport {
+    fn empty_batch(dep: &DagDeployment, images: usize) -> BatchReport {
         BatchReport {
             completion_s: 0.0,
             e2e_s: dep.deploy_s,
@@ -2116,7 +1515,9 @@ mod tests {
             let (coord, plan) = optimized(&g);
             let mut platform = coord.platform();
             let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-            let report = coord.serve_one(&mut platform, &dep, 0.0, "req0").unwrap();
+            let report = coord
+                .serve_one_dag(&mut platform, &dep, 0.0, "req0")
+                .unwrap();
             assert!(
                 (report.inference_s - plan.predicted_time_s).abs() < 1e-6,
                 "{}: measured {} vs predicted {}",
@@ -2145,7 +1546,7 @@ mod tests {
         let mut platform = coord.platform();
         let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
         assert!(dep.deploy_s > 0.0);
-        let report = coord.serve_one(&mut platform, &dep, 0.0, "r").unwrap();
+        let report = coord.serve_one_dag(&mut platform, &dep, 0.0, "r").unwrap();
         assert!((report.e2e_s - (dep.deploy_s + report.inference_s)).abs() < 1e-12);
     }
 
@@ -2285,7 +1686,7 @@ mod tests {
     #[test]
     fn pipelined_trace_matches_sequential_on_sparse_arrivals() {
         // Arrivals so far apart that no two requests ever share the chain:
-        // the pipelined engine must reproduce the sequential engine's
+        // pipelined serving must reproduce scale-out serving's
         // per-request numbers exactly (same RNG keying, no station waits).
         let g = zoo::mobilenet_v1();
         let cfg = AmpsConfig::default();
@@ -2295,12 +1696,12 @@ mod tests {
         let coord = Coordinator::new(cfg.clone());
         let mut p_seq = coord.platform();
         let dep = coord.deploy(&mut p_seq, &g, &plan).unwrap();
-        let seq = coord.serve_trace(&mut p_seq, &dep, &arrivals);
+        let seq = coord.serve_trace_dag(&mut p_seq, &dep, &arrivals);
 
         let coord_pipe = Coordinator::new(cfg.with_pipeline(1));
         let mut p_pipe = coord_pipe.platform();
         let dep_pipe = coord_pipe.deploy(&mut p_pipe, &g, &plan).unwrap();
-        let pipe = coord_pipe.serve_trace_pipelined(&mut p_pipe, &dep_pipe, &arrivals);
+        let pipe = coord_pipe.serve_trace_dag(&mut p_pipe, &dep_pipe, &arrivals);
 
         assert_eq!(seq.requests.len(), pipe.requests.len());
         for (a, b) in seq.requests.iter().zip(&pipe.requests) {
@@ -2382,7 +1783,7 @@ mod tests {
 
     #[test]
     fn serve_one_dag_matches_prediction() {
-        // The DAG twin of `serve_one_matches_prediction`: the critical
+        // The branch counterpart of `serve_one_matches_prediction`: the critical
         // path and summed cost predicted by `predict_dag` must equal the
         // platform's measured cold behaviour, scatter/gather fees
         // included — prediction IS simulation on branches too.
@@ -2427,50 +1828,6 @@ mod tests {
     }
 
     #[test]
-    fn dag_chain_shape_reproduces_chain_engine_bitwise() {
-        // The degenerate-DAG invariant: executing a chain-shaped DagPlan
-        // through the DAG engines reproduces the chain engines' reports
-        // bit-for-bit, sequential and pipelined.
-        let g = zoo::resnet50();
-        let cfg = AmpsConfig::default();
-        let plan = Optimizer::new(cfg.clone()).optimize(&g).unwrap().plan;
-        assert!(plan.num_lambdas() >= 2);
-        let dag = crate::plan::DagPlan::from_chain(&plan, |e| g.cut_transfer_bytes(e));
-        assert!(dag.is_chain());
-        let arrivals: Vec<f64> = (0..12).map(|i| i as f64 * 0.5).collect();
-
-        let coord = Coordinator::new(cfg.clone());
-        let mut p_chain = coord.platform();
-        let dep = coord.deploy(&mut p_chain, &g, &plan).unwrap();
-        let chain = coord.serve_trace(&mut p_chain, &dep, &arrivals);
-
-        let mut p_dag = coord.platform();
-        let ddep = coord.deploy_dag(&mut p_dag, &g, &dag).unwrap();
-        let mut via_dag = coord.serve_trace_dag(&mut p_dag, &ddep, &arrivals);
-        // The DAG engine adds per-node observability on top of the chain
-        // report; everything the chain engine reports must match bitwise.
-        assert!(via_dag.dag_nodes.is_some());
-        via_dag.dag_nodes = None;
-        assert_eq!(chain, via_dag);
-        for (a, b) in chain.requests.iter().zip(&via_dag.requests) {
-            assert_eq!(a.latency_s.to_bits(), b.latency_s.to_bits());
-            assert_eq!(a.dollars.to_bits(), b.dollars.to_bits());
-        }
-
-        let coord_pipe = Coordinator::new(cfg.with_pipeline(2));
-        let mut pp_chain = coord_pipe.platform();
-        let pdep = coord_pipe.deploy(&mut pp_chain, &g, &plan).unwrap();
-        let chain_pipe = coord_pipe.serve_trace_pipelined(&mut pp_chain, &pdep, &arrivals);
-
-        let mut pp_dag = coord_pipe.platform();
-        let pddep = coord_pipe.deploy_dag(&mut pp_dag, &g, &dag).unwrap();
-        let mut dag_pipe = coord_pipe.serve_trace_dag_pipelined(&mut pp_dag, &pddep, &arrivals);
-        assert!(dag_pipe.dag_nodes.is_some());
-        dag_pipe.dag_nodes = None;
-        assert_eq!(chain_pipe, dag_pipe);
-    }
-
-    #[test]
     fn dag_trace_pipelined_bounds_scale_out_on_bursty_trace() {
         // On a burst of simultaneous arrivals, the unpipelined DAG trace
         // engine scales out (one cold sandbox per request per node) while
@@ -2490,7 +1847,7 @@ mod tests {
         let coord_pipe = Coordinator::new(cfg.with_pipeline(1));
         let mut p_pipe = coord_pipe.platform();
         let dep_pipe = coord_pipe.deploy_dag(&mut p_pipe, &g, &plan).unwrap();
-        let pipe = coord_pipe.serve_trace_dag_pipelined(&mut p_pipe, &dep_pipe, &arrivals);
+        let pipe = coord_pipe.serve_trace_dag(&mut p_pipe, &dep_pipe, &arrivals);
         assert_eq!(pipe.failures, 0);
         assert!(
             pipe.cold_starts < seq.cold_starts,
@@ -2511,7 +1868,9 @@ mod tests {
         assert!(plan.num_lambdas() >= 2);
         let mut platform = coord.platform();
         let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-        coord.serve_one(&mut platform, &dep, 0.0, "req").unwrap();
+        coord
+            .serve_one_dag(&mut platform, &dep, 0.0, "req")
+            .unwrap();
         // Intermediate objects exist for every interior boundary.
         for i in 0..plan.num_lambdas() - 1 {
             assert!(platform.store.size_of(&format!("req/b{i}")).is_some());

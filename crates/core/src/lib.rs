@@ -21,7 +21,9 @@
 //!   (greedy-from-last-layer + max memory), Baseline 3 (exhaustive
 //!   optimum via DP over all boundaries);
 //! * [`coordinator`] — the Coordinator component: package partitions,
-//!   deploy, chain invocations through storage, return predictions;
+//!   deploy them as one DAG of lambdas (a chain is a width-1 DAG), move
+//!   each request through storage on the one sharded serving engine,
+//!   return predictions;
 //! * [`plancache`] — the online `(model, SLO, batch) → plan` cache the
 //!   adaptive serving loop consults when load shifts SLO pressure;
 //! * [`plan`] — serializable execution/provisioning plans.
@@ -43,8 +45,7 @@ pub mod trace;
 pub use config::AmpsConfig;
 pub use coordinator::{
     BatchFailure, BatchReport, Coordinator, DagDeployment, DagNodeStats, DagServeScratch,
-    JobReport, PipelineReport, PipelineStats, RequestSummary, RetryRecord, ServeError,
-    ServeScratch, TraceReport,
+    JobReport, PipelineReport, PipelineStats, RequestSummary, RetryRecord, ServeError, TraceReport,
 };
 pub use optimizer::{DagReport, DagSearchStats, OptimizeError, Optimizer};
 pub use plan::{

@@ -185,10 +185,10 @@ pub struct DagPlan {
 }
 
 impl DagPlan {
-    /// Degenerate DAG from a chain plan: one node per partition, one
+    /// The width-1 DAG of a chain plan: one node per partition, one
     /// object per boundary carrying the full cut (`boundary_bytes(end)`
-    /// per partition end). Executing this plan through the DAG engine
-    /// reproduces the chain engine bit-for-bit.
+    /// per partition end). This is how chains deploy and serve
+    /// ([`crate::Coordinator::deploy`]).
     pub fn from_chain(plan: &ExecutionPlan, boundary_bytes: impl Fn(usize) -> u64) -> DagPlan {
         let nodes: Vec<DagNode> = plan
             .partitions
@@ -494,9 +494,8 @@ impl std::fmt::Display for DagPlan {
 /// under the twin objectives, otherwise the chain [`ExecutionPlan`]
 /// incumbent. [`crate::PlanCache`] stores these so an adaptive DAG
 /// serving loop can hold chain and DAG tiers side by side and deploy
-/// either through the one DAG engine (chains via
-/// [`DagPlan::from_chain`], which reproduces the chain engine
-/// bit-for-bit).
+/// either through the one serving engine (chains via
+/// [`DagPlan::from_chain`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum EffectivePlan {
     /// The chain incumbent stands at this point.

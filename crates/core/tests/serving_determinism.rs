@@ -44,25 +44,15 @@ fn run_batch(
     )
 }
 
+/// [`run_trace_dag`] over a chain plan, served as its width-1 DAG.
 fn run_trace(
     cfg: &AmpsConfig,
     g: &ampsinf_model::LayerGraph,
     plan: &ampsinf_core::ExecutionPlan,
     arrivals: &[f64],
 ) -> (TraceReport, u64, u64) {
-    let coord = Coordinator::new(cfg.clone());
-    let mut platform = coord.platform();
-    let dep = coord.deploy(&mut platform, g, plan).unwrap();
-    let trace = if cfg.pipeline_depth > 0 {
-        coord.serve_trace_pipelined(&mut platform, &dep, arrivals)
-    } else {
-        coord.serve_trace(&mut platform, &dep, arrivals)
-    };
-    (
-        trace,
-        platform.total_cost().to_bits(),
-        platform.invocation_count(),
-    )
+    let dag = DagPlan::from_chain(plan, |e| g.cut_transfer_bytes(e));
+    run_trace_dag(cfg, g, &dag, arrivals)
 }
 
 fn assert_batches_bit_identical(a: &BatchReport, b: &BatchReport) {
@@ -482,11 +472,7 @@ fn run_trace_dag(
     let coord = Coordinator::new(cfg.clone());
     let mut platform = coord.platform();
     let dep = coord.deploy_dag(&mut platform, g, plan).unwrap();
-    let trace = if cfg.pipeline_depth > 0 {
-        coord.serve_trace_dag_pipelined(&mut platform, &dep, arrivals)
-    } else {
-        coord.serve_trace_dag(&mut platform, &dep, arrivals)
-    };
+    let trace = coord.serve_trace_dag(&mut platform, &dep, arrivals);
     (
         trace,
         platform.total_cost().to_bits(),
@@ -596,75 +582,6 @@ fn dag_pipelined_trace_bit_identical_across_thread_counts() {
         assert_traces_bit_identical(&baseline.0, &other.0);
         assert_eq!(baseline.1, other.1, "ledger total at {t} threads");
         assert_eq!(baseline.2, other.2, "invocations at {t} threads");
-    }
-}
-
-#[test]
-fn chain_shaped_dag_plan_matches_chain_engine_at_every_thread_count() {
-    // Degenerate DAG ≡ existing engine: a chain-shaped DagPlan must
-    // reproduce the chain engine's TraceReport bit-for-bit — same
-    // scratch-key draws, same invocation scalars, same billing — at
-    // every thread count, sequential and pipelined.
-    let (g, chain_plan, cfg) = plan_cfg();
-    let dag_plan = DagPlan::from_chain(&chain_plan, |e| g.cut_transfer_bytes(e));
-    assert!(dag_plan.is_chain());
-    let arrivals: Vec<f64> = (0..16)
-        .map(|i| {
-            if i < 6 {
-                0.2 * i as f64
-            } else {
-                10.0 * i as f64
-            }
-        })
-        .collect();
-    for pipeline in [0, 2] {
-        let mut cfg = cfg.clone().with_serve_lanes(4);
-        cfg.pipeline_depth = pipeline;
-        for t in THREADS {
-            let cfg = cfg.clone().with_serve_threads(t);
-            let chain = run_trace(&cfg, &g, &chain_plan, &arrivals);
-            let mut dag = run_trace_dag(&cfg, &g, &dag_plan, &arrivals);
-            // The DAG engine additionally reports per-node stats; the
-            // chain engine has no node axis. Everything else is bitwise.
-            assert!(dag.0.dag_nodes.is_some());
-            dag.0.dag_nodes = None;
-            assert_traces_bit_identical(&chain.0, &dag.0);
-            assert_eq!(
-                chain.1, dag.1,
-                "ledger total ({t} threads, pipe {pipeline})"
-            );
-            assert_eq!(chain.2, dag.2, "invocations ({t} threads, pipe {pipeline})");
-        }
-    }
-}
-
-#[test]
-fn chain_shaped_dag_request_fates_match_chain_engine_under_faults() {
-    // Request-fate equivalence under fault injection: every request
-    // draws the same fault fate (retry count, success) from the DAG
-    // engine as from the chain engine on the same chain-shaped plan.
-    let (g, chain_plan, cfg) = plan_cfg();
-    let dag_plan = DagPlan::from_chain(&chain_plan, |e| g.cut_transfer_bytes(e));
-    let cfg = cfg
-        .with_serve_lanes(4)
-        .with_retries(2)
-        .with_faults(FaultPlan::uniform(0.25, 17));
-    let arrivals: Vec<f64> = (0..16).map(|i| 0.5 * i as f64).collect();
-    let chain = run_trace(
-        &cfg.clone().with_serve_threads(1),
-        &g,
-        &chain_plan,
-        &arrivals,
-    );
-    let mut dag = run_trace_dag(&cfg.clone().with_serve_threads(1), &g, &dag_plan, &arrivals);
-    let disturbed = chain.0.failures > 0 || chain.0.requests.iter().any(|r| r.retries > 0);
-    assert!(disturbed, "faults injected nothing");
-    assert!(dag.0.dag_nodes.is_some());
-    dag.0.dag_nodes = None;
-    assert_traces_bit_identical(&chain.0, &dag.0);
-    for (a, b) in chain.0.requests.iter().zip(&dag.0.requests) {
-        assert_eq!(a.retries, b.retries, "fault fates must match");
-        assert_eq!(a.ok, b.ok);
     }
 }
 

@@ -19,10 +19,11 @@
 //!
 //! Modules: [`quotas`] (platform limits, 2020 + 2021 presets), [`pricing`]
 //! (price sheets), [`perf`] (the Lambda performance law), [`storage`]
-//! (S3-like object store), [`vm`] (EC2/SageMaker instances), [`event`]
-//! (discrete-event engine), [`ledger`] (itemized cost accounting),
-//! [`platform`] (deploy/invoke API enforcing quotas), [`runtime`]
-//! (symbolic execution of model partitions).
+//! (S3-like object store), [`vm`] (EC2/SageMaker instances), [`ledger`]
+//! (itemized cost accounting), [`fault`] (seeded fault injection),
+//! [`rng`] (the deterministic RNG), [`stepfn`] (Step Functions
+//! workflows), [`platform`] (deploy/invoke API enforcing quotas),
+//! [`runtime`] (symbolic execution of model partitions).
 //!
 //! # Example: deploy and invoke one function
 //!
@@ -55,7 +56,6 @@
 
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod fault;
 pub mod ledger;
 pub mod perf;

@@ -97,29 +97,17 @@ impl PartitionWork {
         input_key: Option<ObjectKey>,
         output_key: Option<ObjectKey>,
     ) -> InvocationWork {
-        let mut work = InvocationWork::default();
-        self.invocation_into(&mut work, input_key, output_key);
-        work
-    }
-
-    /// Like [`invocation`](Self::invocation), but refills an existing
-    /// [`InvocationWork`] in place so serving loops can reuse one scratch
-    /// value per request instead of allocating fresh key vectors.
-    pub fn invocation_into(
-        &self,
-        work: &mut InvocationWork,
-        input_key: Option<ObjectKey>,
-        output_key: Option<ObjectKey>,
-    ) {
-        work.load_bytes = self.seg.weight_bytes;
-        work.flops = self.seg.flops;
-        work.resident_bytes = self.resident_bytes();
-        work.tmp_bytes = self.tmp_bytes();
-        work.reads.clear();
-        work.reads.extend(input_key);
-        work.writes.clear();
-        work.writes
-            .extend(output_key.map(|k| (k, self.seg.output_bytes)));
+        InvocationWork {
+            load_bytes: self.seg.weight_bytes,
+            flops: self.seg.flops,
+            resident_bytes: self.resident_bytes(),
+            tmp_bytes: self.tmp_bytes(),
+            reads: input_key.into_iter().collect(),
+            writes: output_key
+                .map(|k| (k, self.seg.output_bytes))
+                .into_iter()
+                .collect(),
+        }
     }
 }
 
@@ -278,10 +266,6 @@ mod tests {
         assert_eq!(w1.reads, vec![inter]);
         assert!(w1.writes.is_empty());
         assert_eq!(w1.load_bytes, parts[1].seg.weight_bytes);
-        // The in-place variant refills scratch without reallocating keys.
-        let mut scratch = w0;
-        parts[1].invocation_into(&mut scratch, Some(inter), None);
-        assert_eq!(scratch, w1);
     }
 
     #[test]

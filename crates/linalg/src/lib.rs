@@ -3,8 +3,8 @@
 //! The MIQP solver in `ampsinf-solver` needs a small set of reliable dense
 //! kernels: matrix/vector arithmetic, LU with partial pivoting (for KKT
 //! systems), Cholesky (for convexity certification and positive-definite
-//! solves), LDLᵀ (for symmetric quasi-definite systems), and a symmetric
-//! eigensolver (for the eigenvalue-shift convexification in the QCR step).
+//! solves), and a symmetric eigensolver (for the eigenvalue-shift
+//! convexification in the QCR step).
 //!
 //! Everything here is deliberately dependency-free and sized for the
 //! problem scales AMPS-Inf produces (tens to a few hundred variables), with
@@ -19,14 +19,12 @@
 
 pub mod cholesky;
 pub mod eigen;
-pub mod ldlt;
 pub mod lu;
 pub mod matrix;
 pub mod vector;
 
 pub use cholesky::Cholesky;
 pub use eigen::SymmetricEigen;
-pub use ldlt::Ldlt;
 pub use lu::{Lu, LuFactors};
 pub use matrix::Matrix;
 

@@ -1,7 +1,7 @@
 //! Property-style tests for the dense linear-algebra kernels, driven by a
 //! deterministic PRNG (no external property-testing dependency).
 
-use ampsinf_linalg::{vector, Cholesky, Ldlt, Lu, Matrix, SymmetricEigen};
+use ampsinf_linalg::{vector, Cholesky, Lu, Matrix, SymmetricEigen};
 
 /// Deterministic LCG over `[-1, 1]` entries.
 struct Gen(u64);
@@ -74,22 +74,11 @@ fn cholesky_solve_matches_lu() {
 }
 
 #[test]
-fn ldlt_solve_has_small_residual() {
-    let mut g = Gen::new(3);
-    for _ in 0..CASES {
-        let a = g.spd(5);
-        let b = g.vec(5, 10.0);
-        let x = Ldlt::factor(&a).unwrap().solve(&b);
-        assert!(vector::dist_inf(&a.matvec(&x), &b) < 1e-8);
-    }
-}
-
-#[test]
 fn spd_has_no_negative_inertia() {
     let mut g = Gen::new(4);
     for _ in 0..CASES {
         let a = g.spd(5);
-        assert_eq!(Ldlt::factor(&a).unwrap().negative_inertia(), 0);
+        assert!(SymmetricEigen::min_eigenvalue(&a).unwrap() > 0.0);
     }
 }
 

@@ -1,4 +1,4 @@
-//! Open-loop load generation over a deployed AMPS-Inf chain.
+//! Open-loop load generation over a deployed AMPS-Inf plan.
 //!
 //! The paper motivates serverless serving with its ability "to quickly
 //! adapt to the query load dynamics" (§2). This module exercises exactly
@@ -14,16 +14,16 @@
 //! [`run_adaptive_loop`] closes the loop: an online plan cache
 //! ([`PlanCache`], seeded from one amortized sweep) lets the coordinator
 //! re-plan between load epochs when the arrival rate shifts the SLO
-//! pressure, switching chains mid-run without ever solving on the
+//! pressure, switching plans mid-run without ever solving on the
 //! serving path more than once per `(SLO, batch)` point.
 
 use std::collections::HashMap;
 
-use ampsinf_core::coordinator::Deployment;
 use ampsinf_core::plan::{DagPlan, EffectivePlan, ExecutionPlan};
 use ampsinf_core::sweep::SweepGrid;
 use ampsinf_core::{
-    AmpsConfig, Coordinator, DagDeployment, DagNodeStats, Optimizer, PlanCache, TraceReport,
+    AmpsConfig, Coordinator, DagDeployment, DagNodeStats, OptimizeError, Optimizer, PlanCache,
+    TraceReport,
 };
 use ampsinf_faas::SmallRng;
 use ampsinf_model::LayerGraph;
@@ -328,10 +328,11 @@ pub struct LoadReport {
     /// Per-stage station utilization in chain order (empty unless the run
     /// was pipelined).
     pub stage_utilization: Vec<f64>,
-    /// Per-DAG-node busy/stall/critical-path accounting (`Some` only for
-    /// single-DAG open-loop runs — [`run_open_loop_dag`]; the adaptive
-    /// engine serves several deployments whose node indices don't line
-    /// up, so it reports `None`).
+    /// Per-node busy/stall/critical-path accounting (`Some` for every
+    /// single-plan open-loop run — [`run_open_loop`] reports one row per
+    /// chain partition, [`run_open_loop_dag`] one per DAG node; the
+    /// adaptive engine serves several deployments whose node indices
+    /// don't line up, so it reports `None`).
     pub dag_nodes: Option<DagNodeStats>,
 }
 
@@ -418,54 +419,39 @@ fn report_from_trace(
     }
 }
 
-/// Runs an open-loop workload against a deployed plan.
+/// Runs an open-loop workload against a deployed chain plan.
 ///
-/// Requests are processed in arrival order; each runs the full partition
-/// chain. The platform's instance pools decide warm/cold per invocation
-/// under [`AmpsConfig::warm_pool`]'s provisioning policy, so bursts
-/// scale out (cold) and steady trickles stay warm — Lambda's actual
-/// elasticity behaviour, or the pre-warmed variant the policy buys.
-///
-/// Serving runs on [`Coordinator::serve_trace`]'s work-stealing sharded
-/// engine: with [`AmpsConfig::serve_lanes`] > 1, requests split across
-/// warm-pool shards executed by [`AmpsConfig::serve_threads`] workers,
-/// and the report is bit-identical at every thread count. A request that
-/// exhausts its retry budget no longer aborts the run — it is counted in
-/// [`LoadReport::failures`] and the load keeps flowing.
+/// The chain is served as the width-1 DAG [`DagPlan::from_chain`] builds,
+/// through [`run_open_loop_dag`]; the report therefore carries
+/// [`LoadReport::dag_nodes`] with one row per partition.
 pub fn run_open_loop(
     graph: &LayerGraph,
     plan: &ExecutionPlan,
     cfg: &AmpsConfig,
     load: &LoadSpec,
 ) -> Result<LoadReport, String> {
-    let coord = Coordinator::new(cfg.clone());
-    let mut platform = coord.platform();
-    let dep = coord
-        .deploy(&mut platform, graph, plan)
-        .map_err(|e| e.to_string())?;
-    let arrivals = load.arrivals();
-    let trace = if cfg.pipeline_depth > 0 {
-        coord.serve_trace_pipelined(&mut platform, &dep, &arrivals)
-    } else {
-        coord.serve_trace(&mut platform, &dep, &arrivals)
-    };
-    Ok(report_from_trace(&trace, &arrivals, load, cfg))
+    let dag = DagPlan::from_chain(plan, |k| graph.cut_transfer_bytes(k));
+    run_open_loop_dag(graph, &dag, cfg, load)
 }
 
-/// Runs an open-loop workload against a deployed branch-parallel
-/// [`DagPlan`].
+/// Runs an open-loop workload against a deployed [`DagPlan`] — a
+/// branch-parallel plan or a chain.
 ///
-/// The DAG twin of [`run_open_loop`]: the same arrival shapes, warm-pool
-/// policies and fault injection drive [`Coordinator::serve_trace_dag`]'s
-/// work-stealing sharded engine (or the station-pipelined
-/// [`Coordinator::serve_trace_dag_pipelined`] when
-/// [`AmpsConfig::pipeline_depth`] > 0), and the report is bit-identical
-/// at every thread count. On top of the chain report, the run surfaces
+/// Requests are processed in arrival order; each runs every node of the
+/// plan. The platform's instance pools decide warm/cold per invocation
+/// under [`AmpsConfig::warm_pool`]'s provisioning policy, so bursts
+/// scale out (cold) and steady trickles stay warm — Lambda's actual
+/// elasticity behaviour, or the pre-warmed variant the policy buys.
+///
+/// Serving runs on [`Coordinator::serve_trace_dag`]'s work-stealing
+/// sharded engine, station-pipelined when [`AmpsConfig::pipeline_depth`]
+/// is positive: with [`AmpsConfig::serve_lanes`] > 1, requests split across
+/// warm-pool shards executed by [`AmpsConfig::serve_threads`] workers,
+/// and the report is bit-identical at every thread count. A request that
+/// exhausts its retry budget does not abort the run — it is counted in
+/// [`LoadReport::failures`] and the load keeps flowing. The run surfaces
 /// [`LoadReport::dag_nodes`]: per-node busy/stall seconds, station
-/// occupancy and critical-path shares — where the width actually went.
-///
-/// A chain-shaped plan ([`DagPlan::from_chain`]) reproduces the chain
-/// engine's [`run_open_loop`] report bit-for-bit.
+/// occupancy and critical-path shares — where the time actually went.
 pub fn run_open_loop_dag(
     graph: &LayerGraph,
     plan: &DagPlan,
@@ -478,11 +464,7 @@ pub fn run_open_loop_dag(
         .deploy_dag(&mut platform, graph, plan)
         .map_err(|e| e.to_string())?;
     let arrivals = load.arrivals();
-    let trace = if cfg.pipeline_depth > 0 {
-        coord.serve_trace_dag_pipelined(&mut platform, &dep, &arrivals)
-    } else {
-        coord.serve_trace_dag(&mut platform, &dep, &arrivals)
-    };
+    let trace = coord.serve_trace_dag(&mut platform, &dep, &arrivals);
     Ok(report_from_trace(&trace, &arrivals, load, cfg))
 }
 
@@ -518,23 +500,81 @@ impl AdaptiveSpec {
 /// Runs an open-loop workload with online re-planning between epochs.
 ///
 /// The plan cache is seeded by one amortized [`Optimizer::optimize_sweep`]
-/// over the spec's SLO tiers. The controller then walks the arrival
-/// trace in epochs of [`AdaptiveSpec::epoch_requests`]: each epoch's
-/// observed arrival rate maps to a pressure in `(0, 1)` against the
-/// spec's mean rate, the pressure picks an SLO tier (hot epochs →
-/// tight tiers), and the tier's plan comes from the cache — solving at
-/// most once per `(SLO, batch)` point, with infeasible tiers falling
-/// back loose-ward and finally to an unconstrained plan. Each distinct
-/// plan is deployed once; requests then run on the work-stealing
-/// engine with a per-epoch chain assignment that is a pure function of
-/// the request index, so the report stays bit-identical at every
-/// thread count. [`LoadReport::plan_hits`], [`LoadReport::plan_misses`]
-/// and [`LoadReport::replans`] make the controller observable.
+/// over the spec's SLO tiers, and every tier resolves to a chain plan
+/// (served as a width-1 DAG). See [`run_adaptive_loop_dag`] for the
+/// controller itself.
 pub fn run_adaptive_loop(
     graph: &LayerGraph,
     cfg: &AmpsConfig,
     load: &LoadSpec,
     adaptive: &AdaptiveSpec,
+) -> Result<LoadReport, String> {
+    adaptive_loop(
+        graph,
+        cfg,
+        load,
+        adaptive,
+        |cache, grid| {
+            let sweep = Optimizer::new(cfg.clone()).optimize_sweep(graph, grid);
+            cache.seed_from_sweep(&graph.name, &sweep);
+        },
+        |cache, slo| {
+            cache
+                .get_or_plan(graph, cfg, slo, cfg.batch_size)
+                .map(EffectivePlan::Chain)
+        },
+    )
+}
+
+/// Runs an open-loop workload with online re-planning over *effective*
+/// plans — chain or branch-parallel DAG, whichever the twin-objective
+/// search recommends per SLO tier.
+///
+/// The cache is seeded by one amortized [`Optimizer::optimize_dag_sweep`]
+/// over the spec's tiers, so each tier resolves to an [`EffectivePlan`]
+/// without solving on the serving path. The controller then walks the
+/// arrival trace in epochs of [`AdaptiveSpec::epoch_requests`]: each
+/// epoch's observed arrival rate maps to a pressure in `(0, 1)` against
+/// the spec's mean rate, the pressure picks an SLO tier (hot epochs →
+/// tight tiers), and the tier's plan comes from the cache — solving at
+/// most once per `(SLO, batch)` point, with infeasible tiers falling back
+/// loose-ward and finally to an unconstrained plan. Each distinct plan is
+/// deployed once, and requests run on
+/// [`Coordinator::serve_trace_assigned_dag`] with a per-epoch assignment
+/// that is a pure function of the request index, so the report stays
+/// bit-identical at every thread count. [`LoadReport::plan_hits`],
+/// [`LoadReport::plan_misses`] and [`LoadReport::replans`] make the
+/// controller observable.
+pub fn run_adaptive_loop_dag(
+    graph: &LayerGraph,
+    cfg: &AmpsConfig,
+    load: &LoadSpec,
+    adaptive: &AdaptiveSpec,
+) -> Result<LoadReport, String> {
+    adaptive_loop(
+        graph,
+        cfg,
+        load,
+        adaptive,
+        |cache, grid| {
+            let sweep = Optimizer::new(cfg.clone()).optimize_dag_sweep(graph, grid);
+            cache.seed_from_dag_sweep(&graph.name, &sweep);
+        },
+        |cache, slo| cache.get_or_plan_effective(graph, cfg, slo, cfg.batch_size),
+    )
+}
+
+/// The adaptive controller behind [`run_adaptive_loop`] and
+/// [`run_adaptive_loop_dag`]: `seed` fills the cache from one sweep over
+/// the tier grid, and `plan_for` turns an SLO tier (`None` =
+/// unconstrained) into an effective plan.
+fn adaptive_loop(
+    graph: &LayerGraph,
+    cfg: &AmpsConfig,
+    load: &LoadSpec,
+    adaptive: &AdaptiveSpec,
+    seed: impl FnOnce(&mut PlanCache, &SweepGrid),
+    mut plan_for: impl FnMut(&mut PlanCache, Option<f64>) -> Result<EffectivePlan, OptimizeError>,
 ) -> Result<LoadReport, String> {
     let arrivals = load.arrivals();
     if arrivals.is_empty() {
@@ -553,112 +593,7 @@ pub fn run_adaptive_loop(
     // Seed the cache with one amortized sweep over the tier grid.
     let mut cache = PlanCache::new();
     let grid = SweepGrid::from_slos(adaptive.slo_tiers.clone()).with_batches(vec![cfg.batch_size]);
-    let sweep = Optimizer::new(cfg.clone()).optimize_sweep(graph, &grid);
-    cache.seed_from_sweep(&graph.name, &sweep);
-
-    let coord = Coordinator::new(cfg.clone());
-    let mut platform = coord.platform();
-    let mut deps: Vec<Deployment> = Vec::new();
-    let mut dep_of_tier: HashMap<Option<u64>, usize> = HashMap::new();
-    let mut epoch_dep: Vec<usize> = Vec::new();
-    let mut replans = 0u64;
-    for epoch in arrivals.chunks(adaptive.epoch_requests) {
-        // Observed epoch rate → pressure in (0, 1) against the mean.
-        let span = epoch[epoch.len() - 1] - epoch[0];
-        let rate = if epoch.len() >= 2 && span > 0.0 {
-            (epoch.len() - 1) as f64 / span
-        } else {
-            load.rate_rps
-        };
-        let pressure = rate / (rate + load.rate_rps);
-        let tier = (((1.0 - pressure) * n_tiers as f64) as usize).min(n_tiers - 1);
-
-        // Tier → plan, falling back loose-ward, then unconstrained.
-        let mut chosen: Option<(Option<f64>, ExecutionPlan)> = None;
-        for slo in adaptive.slo_tiers[tier..]
-            .iter()
-            .copied()
-            .map(Some)
-            .chain([None])
-        {
-            if let Ok(plan) = cache.get_or_plan(graph, cfg, slo, cfg.batch_size) {
-                chosen = Some((slo, plan));
-                break;
-            }
-        }
-        let Some((slo, plan)) = chosen else {
-            return Err("no feasible plan at any SLO tier".into());
-        };
-        let key = slo.map(f64::to_bits);
-        let dep_idx = match dep_of_tier.get(&key) {
-            Some(&i) => i,
-            None => {
-                let dep = coord
-                    .deploy(&mut platform, graph, &plan)
-                    .map_err(|e| e.to_string())?;
-                deps.push(dep);
-                dep_of_tier.insert(key, deps.len() - 1);
-                deps.len() - 1
-            }
-        };
-        if epoch_dep.last().is_some_and(|&prev| prev != dep_idx) {
-            replans += 1;
-        }
-        epoch_dep.push(dep_idx);
-    }
-
-    let epoch_requests = adaptive.epoch_requests;
-    let trace = coord.serve_trace_assigned(
-        &mut platform,
-        &deps,
-        &|i| epoch_dep[i / epoch_requests],
-        &arrivals,
-    );
-    let mut report = report_from_trace(&trace, &arrivals, load, cfg);
-    report.plan_hits = cache.hits();
-    report.plan_misses = cache.misses();
-    report.replans = replans;
-    Ok(report)
-}
-
-/// Runs an open-loop workload with online re-planning over *effective*
-/// plans — chain or branch-parallel DAG, whichever the twin-objective
-/// search recommends per SLO tier.
-///
-/// The DAG twin of [`run_adaptive_loop`]: the cache is seeded by one
-/// amortized [`Optimizer::optimize_dag_sweep`] over the spec's tiers, so
-/// each tier resolves to an [`EffectivePlan`] without ever solving on
-/// the serving path. Every distinct tier deploys through the one DAG
-/// engine (chain incumbents wrap via [`DagPlan::from_chain`], which the
-/// engine executes bit-identically to the chain path), and requests run
-/// on [`Coordinator::serve_trace_assigned_dag`] with a per-epoch
-/// assignment that is a pure function of the request index — the report
-/// stays bit-identical at every thread count.
-pub fn run_adaptive_loop_dag(
-    graph: &LayerGraph,
-    cfg: &AmpsConfig,
-    load: &LoadSpec,
-    adaptive: &AdaptiveSpec,
-) -> Result<LoadReport, String> {
-    let arrivals = load.arrivals();
-    if arrivals.is_empty() {
-        return Err("adaptive run needs at least one request".into());
-    }
-    if cfg.pipeline_depth > 0 {
-        return Err(
-            "pipelined execution does not combine with the adaptive controller: \
-             stations are bound to one plan's stages, and the controller switches \
-             plans between epochs"
-                .into(),
-        );
-    }
-    let n_tiers = adaptive.slo_tiers.len();
-
-    // Seed the effective-plan cache with one amortized DAG sweep.
-    let mut cache = PlanCache::new();
-    let grid = SweepGrid::from_slos(adaptive.slo_tiers.clone()).with_batches(vec![cfg.batch_size]);
-    let sweep = Optimizer::new(cfg.clone()).optimize_dag_sweep(graph, &grid);
-    cache.seed_from_dag_sweep(&graph.name, &sweep);
+    seed(&mut cache, &grid);
 
     let coord = Coordinator::new(cfg.clone());
     let mut platform = coord.platform();
@@ -677,8 +612,7 @@ pub fn run_adaptive_loop_dag(
         let pressure = rate / (rate + load.rate_rps);
         let tier = (((1.0 - pressure) * n_tiers as f64) as usize).min(n_tiers - 1);
 
-        // Tier → effective plan, falling back loose-ward, then
-        // unconstrained.
+        // Tier → plan, falling back loose-ward, then unconstrained.
         let mut chosen: Option<(Option<f64>, EffectivePlan)> = None;
         for slo in adaptive.slo_tiers[tier..]
             .iter()
@@ -686,7 +620,7 @@ pub fn run_adaptive_loop_dag(
             .map(Some)
             .chain([None])
         {
-            if let Ok(plan) = cache.get_or_plan_effective(graph, cfg, slo, cfg.batch_size) {
+            if let Ok(plan) = plan_for(&mut cache, slo) {
                 chosen = Some((slo, plan));
                 break;
             }
@@ -1182,8 +1116,8 @@ mod tests {
 
     #[test]
     fn dag_open_loop_bit_identical_across_thread_counts() {
-        // The DAG twin of the chain invariance test, under the full
-        // gauntlet: bursty arrivals, a flaky store, fault injection and a
+        // The branch-parallel counterpart of the chain invariance test,
+        // under the full gauntlet: bursty arrivals, a flaky store, fault injection and a
         // billed provisioned pool. The whole report — per-node stats
         // included — must be bit-identical at 1, 2 and 8 threads.
         use ampsinf_faas::{FaultPlan, StoreKind, WarmPoolPolicy};
@@ -1243,7 +1177,7 @@ mod tests {
         assert_eq!(stats.busy_s.len(), plan.nodes.len());
         assert!(stats.busy_s.iter().all(|&b| b > 0.0), "every node ran");
         assert!(stats.stall_s.iter().all(|&s| s >= 0.0));
-        assert_eq!(stats.stations_per_node, 0, "sequential engine is unbounded");
+        assert_eq!(stats.stations_per_node, 0, "scale-out serving is unbounded");
         assert!(stats.mean_concurrency(0) > 0.0);
         let crit_total: f64 = (0..plan.nodes.len()).map(|v| stats.critical_share(v)).sum();
         assert!(
@@ -1253,46 +1187,10 @@ mod tests {
     }
 
     #[test]
-    fn chain_shaped_dag_open_loop_matches_chain_load_report() {
-        // A chain wrapped as a degenerate DAG must reproduce the chain
-        // engine's LoadReport bit-for-bit through the open-loop path.
-        let (g, plan, cfg) = setup();
-        let cfg = cfg.with_serve_lanes(4);
-        let dag = DagPlan::from_chain(&plan, |e| g.cut_transfer_bytes(e));
-        assert!(dag.is_chain());
-        let load = LoadSpec::poisson(3.0, 16, 9).with_shape(ArrivalShape::bursty());
-        for t in [1usize, 8] {
-            let cfg = cfg.clone().with_serve_threads(t);
-            let chain = run_open_loop(&g, &plan, &cfg, &load).unwrap();
-            let via_dag = run_open_loop_dag(&g, &dag, &cfg, &load).unwrap();
-            assert_eq!(
-                chain
-                    .latencies_s
-                    .iter()
-                    .map(|l| l.to_bits())
-                    .collect::<Vec<_>>(),
-                via_dag
-                    .latencies_s
-                    .iter()
-                    .map(|l| l.to_bits())
-                    .collect::<Vec<_>>(),
-                "latencies at {t} threads"
-            );
-            assert_eq!(chain.dollars.to_bits(), via_dag.dollars.to_bits());
-            assert_eq!(chain.makespan_s.to_bits(), via_dag.makespan_s.to_bits());
-            assert_eq!(chain.cold_starts, via_dag.cold_starts);
-            assert_eq!(chain.peak_instances, via_dag.peak_instances);
-            assert_eq!(chain.invocations, via_dag.invocations);
-            assert_eq!(chain.failures, via_dag.failures);
-            assert!(via_dag.dag_nodes.is_some(), "DAG path adds node stats");
-        }
-    }
-
-    #[test]
     fn dag_adaptive_loop_swaps_effective_plans_and_stays_thread_invariant() {
         // The effective-plan controller on a chain model: every tier's
         // effective plan is the chain incumbent wrapped as a degenerate
-        // DAG, deployed through the one DAG engine. The flash crowd must
+        // DAG, deployed through the one serving engine. The flash crowd must
         // force a re-plan, the seeded cache must serve every epoch, and
         // the report must be bit-identical at every thread count.
         let (g, plan, cfg) = setup();

@@ -50,7 +50,8 @@ pub fn run_serfer(
         .map(|i| {
             let input_key = (i > 0).then(|| platform.store.intern(&format!("serfer/b{}", i - 1)));
             let output_key = (i + 1 < k).then(|| platform.store.intern(&format!("serfer/b{i}")));
-            let work: &PartitionWork = &dep.works[i];
+            let part = &plan.partitions[i];
+            let work = PartitionWork::from_segment(graph, part.start, part.end);
             StepState {
                 name: format!("partition{i}"),
                 function: dep.functions[i],
@@ -94,7 +95,9 @@ mod tests {
         let coord = Coordinator::new(cfg.clone());
         let mut platform = coord.platform();
         let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-        let amps = coord.serve_one(&mut platform, &dep, 0.0, "amps").unwrap();
+        let amps = coord
+            .serve_one_dag(&mut platform, &dep, 0.0, "amps")
+            .unwrap();
         let amps_dollars = amps.dollars + platform.settle_storage(amps.inference_s);
 
         assert!(

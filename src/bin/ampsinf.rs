@@ -19,8 +19,8 @@ use amps_inf::faas::WarmPoolPolicy;
 use amps_inf::model::summary::ModelSummary;
 use amps_inf::prelude::*;
 use amps_inf::serving::{
-    run_adaptive_loop, run_adaptive_loop_dag, run_open_loop, run_open_loop_dag, AdaptiveSpec,
-    ArrivalShape, LoadSpec,
+    run_adaptive_loop, run_adaptive_loop_dag, run_open_loop_dag, AdaptiveSpec, ArrivalShape,
+    LoadSpec,
 };
 
 fn main() {
@@ -219,7 +219,7 @@ fn run(args: &[String]) -> i32 {
                             Err(e) => return fail(&format!("deploy: {e}")),
                         };
                         let (time, mut dollars) = if images == 1 {
-                            let job = match coord.serve_one(&mut platform, &dep, 0.0, "cli") {
+                            let job = match coord.serve_one_dag(&mut platform, &dep, 0.0, "cli") {
                                 Ok(j) => j,
                                 Err(e) => return fail(&format!("serve: {e}")),
                             };
@@ -428,11 +428,7 @@ fn serve_dag(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
     // A burst of requests through the trace engine (all arrive at t = 0);
     // storage and warm-pool idle are settled inside the engine.
     let arrivals = vec![0.0; images];
-    let trace = if coord.config().pipeline_depth > 0 {
-        coord.serve_trace_dag_pipelined(&mut platform, &dep, &arrivals)
-    } else {
-        coord.serve_trace_dag(&mut platform, &dep, &arrivals)
-    };
+    let trace = coord.serve_trace_dag(&mut platform, &dep, &arrivals);
     println!(
         "batch: {} succeeded, {} failed",
         trace.requests.len() - trace.failures,
@@ -468,12 +464,11 @@ fn serve_dag(g: &LayerGraph, cfg: AmpsConfig, args: &[String]) -> i32 {
 }
 
 /// Per-node busy/stall/occupancy/critical-path table for `--verbose`
-/// DAG runs — where the plan's width actually went.
+/// load and DAG runs — where the plan's time actually went.
 fn print_dag_node_stats(stats: &DagNodeStats, plan: &DagPlan) {
-    // The pipelined engine's stations genuinely bound per-node
-    // concurrency, so the utilization column is an occupancy percentage;
-    // the sequential engine scales instances out on demand and reports
-    // mean concurrency instead.
+    // Pipeline stations genuinely bound per-node concurrency, so the
+    // utilization column is an occupancy percentage; scale-out serving
+    // adds instances on demand and reports mean concurrency instead.
     let bounded = stats.stations_per_node > 0;
     if bounded {
         println!(
@@ -551,9 +546,6 @@ fn parse_policy(spec: &str) -> Result<WarmPoolPolicy, String> {
     }
 }
 
-/// Open-loop load mode (`serve --requests M --rate R`): shaped arrivals
-/// against the planned deployment on the work-stealing serving engine,
-/// with a throughput / percentile summary instead of per-image reports.
 /// Under `--pipeline`, replace the sequential optimum with the joint
 /// planner's stage-balanced plan (minimum bottleneck within
 /// `cost_tolerance` of the sequential cost floor); otherwise keep `seq`.
@@ -586,11 +578,12 @@ fn pipeline_plan_or(
 /// Open-loop load mode (`serve --requests M --rate R`): shaped arrivals
 /// against the planned deployment on the work-stealing serving engine,
 /// with a throughput / percentile summary instead of per-image reports.
-/// With `dag`, planning runs the chain-vs-DAG objective and the winning
-/// (or chain-degenerate) DAG serves on the sharded DAG engine —
-/// `--adaptive` swaps *effective* plans (chain or DAG per SLO tier)
-/// between epochs, and `--verbose` prints the per-node
-/// busy/stall/occupancy/critical-path table.
+/// Every plan serves on the one sharded engine, a chain as a width-1 DAG.
+/// With `dag`, planning runs the chain-vs-DAG objective and serves the
+/// winning (or chain-degenerate) DAG — `--adaptive` swaps *effective*
+/// plans (chain or DAG per SLO tier) between epochs. `--verbose` prints
+/// the per-node busy/stall/occupancy/critical-path table (one row per
+/// partition for a chain).
 fn serve_load(g: &LayerGraph, cfg: AmpsConfig, args: &[String], dag: bool) -> i32 {
     let requests = match flag_value(args, "--requests").unwrap().parse::<usize>() {
         Ok(n) if n > 0 => n,
@@ -741,10 +734,15 @@ fn serve_load(g: &LayerGraph, cfg: AmpsConfig, args: &[String], dag: bool) -> i3
         };
         println!("{plan}");
         print_fault_plan(&cfg);
-        match run_open_loop(g, &plan, &cfg, &load) {
+        // Served as the width-1 DAG, so `--verbose` can name each
+        // partition's row in the per-node table.
+        let plan = DagPlan::from_chain(&plan, |e| g.cut_transfer_bytes(e));
+        let r = match run_open_loop_dag(g, &plan, &cfg, &load) {
             Ok(r) => r,
             Err(e) => return fail(&format!("load run: {e}")),
-        }
+        };
+        dag_plan = Some(plan);
+        r
     };
 
     println!(

@@ -71,6 +71,23 @@ fn serve_runs_end_to_end() {
 }
 
 #[test]
+fn verbose_chain_load_prints_one_node_row_per_partition() {
+    // A chain serves as a width-1 DAG, so `--verbose` reports per-node
+    // stats for it too; without `--verbose` the table stays off.
+    let args = ["serve", "resnet50", "--requests", "40", "--rate", "5"];
+    let (quiet, _, ok) = run(&args);
+    assert!(ok && !quiet.contains("nodes ("), "{quiet}");
+    let (stdout, stderr, ok) = run(&[&args[..], &["--verbose"]].concat());
+    assert!(ok, "stderr: {stderr}");
+    assert!(stdout.contains("nodes (scale-out on demand"), "{stdout}");
+    // ResNet-50 plans two partitions: L0..L167 and L168..L176.
+    assert!(
+        stdout.contains("L0..L167") && stdout.contains("L168..L176"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn unknown_model_fails_cleanly() {
     let (_, stderr, ok) = run(&["plan", "alexnet-9000"]);
     assert!(!ok);

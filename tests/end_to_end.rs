@@ -22,7 +22,7 @@ fn full_pipeline_every_evaluation_model() {
         let mut platform = coord.platform();
         let dep = coord.deploy(&mut platform, &g, plan).expect("deployable");
         let job = coord
-            .serve_one(&mut platform, &dep, 0.0, "e2e")
+            .serve_one_dag(&mut platform, &dep, 0.0, "e2e")
             .expect("serves");
 
         assert!(
@@ -161,11 +161,15 @@ fn storage_failure_injection() {
     let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
 
     // Run the first partition manually, then sabotage its output.
+    let work = |i: usize| {
+        let p = &plan.partitions[i];
+        amps_inf::faas::PartitionWork::from_segment(&g, p.start, p.end)
+    };
     let sab = platform.store.intern("sab/b0");
-    let w0 = dep.works[0].invocation(None, Some(sab));
+    let w0 = work(0).invocation(None, Some(sab));
     let o0 = platform.invoke(dep.functions[0], 0.0, &w0).unwrap();
     platform.store.delete("sab/b0", o0.end);
-    let w1 = dep.works[1].invocation(Some(sab), None);
+    let w1 = work(1).invocation(Some(sab), None);
     let err = platform.invoke(dep.functions[1], o0.end, &w1).unwrap_err();
     assert!(matches!(
         err.reason,
@@ -198,7 +202,7 @@ fn flaky_storage_retries_then_fails_cleanly() {
     let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
     for r in 0..5 {
         let job = coord
-            .serve_one(&mut platform, &dep, r as f64 * 100.0, &format!("fk{r}"))
+            .serve_one_dag(&mut platform, &dep, r as f64 * 100.0, &format!("fk{r}"))
             .expect("moderate flakiness is retried away");
         assert!(job.inference_s > 0.0);
     }
@@ -216,7 +220,7 @@ fn flaky_storage_retries_then_fails_cleanly() {
     let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
     let mut saw_unavailable = false;
     for r in 0..5 {
-        match coord.serve_one(&mut platform, &dep, r as f64 * 100.0, &format!("xk{r}")) {
+        match coord.serve_one_dag(&mut platform, &dep, r as f64 * 100.0, &format!("xk{r}")) {
             Ok(_) => {}
             Err(e) if matches!(e.reason, InvokeError::StorageUnavailable(_)) => {
                 // Even the doomed request billed its consumed time.
