@@ -222,3 +222,167 @@ fn sweep_rejects_bad_grid_values() {
     assert!(!ok);
     assert!(stderr.contains("bad --batches"), "{stderr}");
 }
+
+/// Every `(command line, flag)` case must exit 1 with an `error:` line
+/// that names `flag`, and never reach a panic.
+fn assert_rejected(cases: &[(&str, &str)]) {
+    for (line, flag) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_ampsinf"))
+            .args(line.split_whitespace())
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let code = out.status.code();
+        assert_eq!(code, Some(1), "`{line}` should exit 1; stderr: {stderr}");
+        assert!(stderr.starts_with("error:"), "`{line}`: {stderr}");
+        assert!(
+            stderr.contains(flag),
+            "`{line}` should name {flag}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "`{line}` panicked: {stderr}");
+    }
+}
+
+#[test]
+fn out_of_range_values_are_rejected_before_they_reach_the_library() {
+    assert_rejected(&[
+        ("plan mobilenet --quantize 0", "--quantize"),
+        ("plan mobilenet --quantize 9", "--quantize"),
+        ("plan mobilenet --batch 0", "--batch"),
+        ("serve mobilenet --batch 0", "--batch"),
+        ("plan mobilenet --tolerance -1", "--tolerance"),
+        ("plan mobilenet --tolerance nan", "--tolerance"),
+        ("plan mobilenet --slo -5", "--slo"),
+        ("plan mobilenet --slo nan", "--slo"),
+        ("plan mobilenet --slo inf", "--slo"),
+        ("serve mobilenet --backoff -1", "--backoff"),
+        ("serve mobilenet --backoff nan", "--backoff"),
+        ("serve mobilenet --inject-faults 1.5", "--inject-faults"),
+        ("serve mobilenet --flaky-store 1", "--flaky-store"),
+        ("serve mobilenet --retries -1", "--retries"),
+        ("serve mobilenet --requests 5 --rate inf", "--rate"),
+        ("serve mobilenet --requests 5 --lanes 0", "--lanes"),
+        (
+            "serve mobilenet --requests 5 --policy keepalive:-1",
+            "--policy",
+        ),
+        ("serve mobilenet --requests 5 --shape square", "--shape"),
+        (
+            "sweep mobilenet --slo-from 2 --slo-to 20 --points 0",
+            "--points",
+        ),
+    ]);
+}
+
+#[test]
+fn silently_ignored_input_is_rejected() {
+    let sweep = "sweep mobilenet --slo-from 2 --slo-to 20 --points 4";
+    let (sweep_batch, sweep_pipeline, sweep_faults) = (
+        format!("{sweep} --batch 8"),
+        format!("{sweep} --pipeline"),
+        format!("{sweep} --inject-faults 0.3"),
+    );
+    assert_rejected(&[
+        ("plan mobilenet --sloo 5", "--sloo"),
+        ("plan mobilenet --threads", "--threads"),
+        ("plan mobilenet --slo --batch 4", "--slo"),
+        ("plan mobilenet --slo 5 --slo 50", "--slo"),
+        ("plan mobilenet extra", "extra"),
+        ("models extra", "extra"),
+        ("summary mobilenet --slo 5", "--slo"),
+        ("plan mobilenet --images 3", "--images"),
+        ("serve mobilenet --quantize 2", "--quantize"),
+        ("serve mobilenet --imgaes 3", "--imgaes"),
+        ("serve mobilenet --rate 5", "--rate"),
+        ("serve mobilenet --requests 20 --images 3", "--images"),
+        ("serve mobilenet --requests 20 --parallel", "--parallel"),
+        ("serve mobilenet --requests 20 --slo-tiers 5", "--slo-tiers"),
+        ("serve mobilenet --requests 20 --adaptive", "--slo-tiers"),
+        ("serve mobilenet --pipe-depth 2", "--pipe-depth"),
+        ("serve mobilenet --pipeline --parallel", "--parallel"),
+        ("serve mobilenet --fault-seed 3", "--fault-seed"),
+        ("plan inception_v3 --dag --pipeline", "--dag"),
+        (&sweep_batch, "--batch"),
+        (&sweep_pipeline, "--pipeline"),
+        (&sweep_faults, "--inject-faults"),
+    ]);
+}
+
+#[test]
+fn help_is_generated_per_command() {
+    let lists = |stdout: &str, flag: &str| stdout.split_whitespace().any(|w| w == flag);
+    for line in ["--help", "help", "plan --help", "summary --help"] {
+        let (stdout, stderr, ok) = run(&line.split_whitespace().collect::<Vec<_>>());
+        assert!(ok && stdout.starts_with("usage:"), "`{line}`: {stderr}");
+        assert!(stderr.is_empty(), "`{line}`: {stderr}");
+    }
+    for (cmd, listed, absent) in [
+        ("plan", "--quantize", "--images"),
+        ("serve", "--images", "--quantize"),
+        ("sweep", "--batches", "--batch"),
+    ] {
+        let (stdout, _, ok) = run(&[cmd, "--help"]);
+        assert!(ok, "{cmd} --help failed");
+        assert!(
+            lists(&stdout, listed),
+            "{cmd} --help lacks {listed}:\n{stdout}"
+        );
+        assert!(
+            !lists(&stdout, absent),
+            "{cmd} --help lists {absent}:\n{stdout}"
+        );
+    }
+}
+
+#[test]
+fn closed_stdout_ends_the_run_without_a_panic() {
+    // The reader goes away before the first line is written, as with
+    // `ampsinf models | head -1` once `head` has its line.
+    let sweep = "sweep mobilenet --slo-from 2 --slo-to 20 --points 4";
+    for line in ["models", "--help", sweep] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_ampsinf"))
+            .args(line.split_whitespace())
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "`{line}`: {stderr}");
+        assert!(out.status.success(), "`{line}`: {stderr}");
+    }
+}
+
+#[test]
+fn every_flag_the_docs_use_is_in_help() {
+    // Cargo's own flags appear in the docs' build and test commands.
+    const CARGO: [&str; 7] = [
+        "--release",
+        "--bin",
+        "--example",
+        "--test",
+        "--bench",
+        "--workspace",
+        "--manifest-path",
+    ];
+    let (help, _, ok) = run(&["--help"]);
+    assert!(ok);
+    let helped: Vec<&str> = help.split_whitespace().collect();
+    for doc in ["README.md", ".claude/skills/verify/SKILL.md"] {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(doc);
+        let text = std::fs::read_to_string(path).unwrap();
+        for word in text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+            let Some(name) = word.strip_prefix("--") else {
+                continue;
+            };
+            if !name.starts_with(|c: char| c.is_ascii_lowercase()) || CARGO.contains(&word) {
+                continue;
+            }
+            assert!(
+                helped.contains(&word),
+                "{doc} uses {word}, which --help lacks"
+            );
+        }
+    }
+}
