@@ -63,12 +63,32 @@ pub fn predict(profile: &Profile, plan: &mut ExecutionPlan, cfg: &AmpsConfig) ->
 /// numbers diverge exactly where the chain's cannot — fan-out of `k`
 /// costs `k` sandboxes but only `max(branch)` wall-clock.
 pub fn predict_dag(profile: &Profile, plan: &mut DagPlan, cfg: &AmpsConfig) -> bool {
-    let Some((finish, cost)) = dag_schedule(profile, plan, cfg) else {
+    let Some(evals) = dag_evals(profile, plan, cfg) else {
         return false;
     };
-    plan.predicted_time_s = finish.iter().copied().fold(0.0f64, f64::max);
-    plan.predicted_cost = cost;
+    let parents: Vec<Vec<usize>> = (0..plan.nodes.len()).map(|v| plan.parents_of(v)).collect();
+    let mut finish = vec![0.0f64; evals.len()];
+    (plan.predicted_time_s, plan.predicted_cost) = dag_schedule(&parents, &evals, &mut finish);
     true
+}
+
+/// The ready-time recurrence over a node DAG whose parents precede their
+/// children: node `v` starts at the max of its parents' finishes and runs
+/// for `evals[v].0`. Fills `finish` per node and returns the plan-level
+/// `(time, cost)`: a full-array max fold for the makespan, an ordered sum
+/// of `evals[v].1` for the cost.
+pub(crate) fn dag_schedule(
+    parents: &[Vec<usize>],
+    evals: &[(f64, f64)],
+    finish: &mut [f64],
+) -> (f64, f64) {
+    for v in 0..evals.len() {
+        let ready = parents[v].iter().map(|&u| finish[u]).fold(0.0f64, f64::max);
+        finish[v] = ready + evals[v].0;
+    }
+    let time = finish.iter().copied().fold(0.0f64, f64::max);
+    let cost = evals.iter().map(|&(_, d)| d).sum();
+    (time, cost)
 }
 
 /// Per-node predicted durations of a DAG plan (the same arithmetic as
@@ -107,24 +127,6 @@ fn dag_evals(profile: &Profile, plan: &DagPlan, cfg: &AmpsConfig) -> Option<Vec<
         evals.push((e.duration_s, e.dollars));
     }
     Some(evals)
-}
-
-/// Ready-time recurrence over the node DAG: returns per-node finish
-/// instants (node `v` starts at the max of its producers' finishes) and
-/// the summed dollars.
-fn dag_schedule(profile: &Profile, plan: &DagPlan, cfg: &AmpsConfig) -> Option<(Vec<f64>, f64)> {
-    let evals = dag_evals(profile, plan, cfg)?;
-    let cost = evals.iter().map(|&(_, d)| d).sum();
-    let mut finish = vec![0.0f64; plan.nodes.len()];
-    for v in 0..plan.nodes.len() {
-        let ready = plan
-            .parents_of(v)
-            .into_iter()
-            .map(|u| finish[u])
-            .fold(0.0f64, f64::max);
-        finish[v] = ready + evals[v].0;
-    }
-    Some((finish, cost))
 }
 
 /// Baseline 1: random feasible cut + one random memory for all lambdas.

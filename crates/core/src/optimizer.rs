@@ -7,7 +7,7 @@
 //! fastest (this is what makes AMPS-Inf land slightly above Baseline 3's
 //! cost but slightly below its completion time in §5.3).
 
-use crate::baselines::predict_dag;
+use crate::baselines::{dag_schedule, predict_dag};
 use crate::colcache::{CacheCounters, NodeColumns, SegmentColumnCache};
 use crate::config::AmpsConfig;
 use crate::cuts::{enumerate_cuts, insert_region_sorted, segment_feasible, DagShared};
@@ -377,6 +377,84 @@ fn atomic_min_f64(cell: &AtomicU64, v: f64) {
     }
 }
 
+/// Maps `f` over `0..n` on at most `min(threads, n)` scoped workers and
+/// returns the results in index order. Workers pull indices from a shared
+/// counter, and each keeps the state `init` builds for it (a solver
+/// workspace, say) across the indices it takes. With one worker the map
+/// runs on the calling thread. Results never depend on which worker ran
+/// an index, so a caller whose `f` is a pure function of its index gets
+/// the same vector at every thread count.
+pub(crate) fn ordered_map<S, T: Send>(
+    n: usize,
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<T> {
+    let workers = threads.min(n);
+    if workers <= 1 {
+        let mut state = init();
+        return (0..n).map(|i| f(&mut state, i)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let parts: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut state = init();
+                    let mut local = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        local.push((i, f(&mut state, i)));
+                    }
+                    local
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("ordered_map worker panicked"))
+            .collect()
+    });
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    for (i, t) in parts.into_iter().flatten() {
+        slots[i] = Some(t);
+    }
+    slots
+        .into_iter()
+        .map(|s| s.expect("every index mapped exactly once"))
+        .collect()
+}
+
+/// The chain plan of `graph` that cuts after each layer of `cut` and runs
+/// partition `i` at `memories[i]`, stamped with `(time, cost)`.
+pub(crate) fn chain_plan(
+    graph: &LayerGraph,
+    cut: &[usize],
+    memories: &[u32],
+    time_s: f64,
+    cost: f64,
+) -> ExecutionPlan {
+    let mut partitions = Vec::with_capacity(cut.len());
+    let mut start = 0usize;
+    for (&end, &memory_mb) in cut.iter().zip(memories) {
+        partitions.push(PartitionPlan {
+            start,
+            end,
+            memory_mb,
+        });
+        start = end + 1;
+    }
+    ExecutionPlan {
+        model: graph.name.clone(),
+        partitions,
+        predicted_time_s: time_s,
+        predicted_cost: cost,
+    }
+}
+
 /// The AMPS-Inf optimizer.
 #[derive(Debug, Clone)]
 pub struct Optimizer {
@@ -419,16 +497,27 @@ impl Optimizer {
     /// parallelism") guarantees the selected plan is bit-identical to the
     /// `threads = 1` run at every thread count.
     pub fn optimize(&self, graph: &LayerGraph) -> Result<OptimizerReport, OptimizeError> {
+        self.solve_chain(graph, self.resolve_threads())
+            .map(|(report, _)| report)
+    }
+
+    /// The cold chain solve behind [`Optimizer::optimize`] and
+    /// [`Optimizer::optimize_dag`]: pass 1 and pass 2 at this optimizer's
+    /// `(slo, batch)` point. Returns the report plus the pass-1 state,
+    /// whose profile and memo tables the region search reads.
+    fn solve_chain(
+        &self,
+        graph: &LayerGraph,
+        threads: usize,
+    ) -> Result<(OptimizerReport, BatchShared), OptimizeError> {
         let t0 = Instant::now();
-        let threads = self.resolve_threads();
-        let p1 = Instant::now();
         let profile = Profile::batched(graph, self.cfg.batch_size);
         let shared = self.build_shared(profile, threads)?;
-        let pass1_time = p1.elapsed();
+        let pass1_time = t0.elapsed();
         let p2 = Instant::now();
         let sol = self.solve_point(graph, &shared, threads, None, None, None)?;
         let pass2_time = p2.elapsed();
-        Ok(OptimizerReport {
+        let report = OptimizerReport {
             plan: sol.plan,
             cuts_considered: shared.cuts.len(),
             miqps_solved: sol.miqps_solved,
@@ -442,7 +531,8 @@ impl Optimizer {
             pass1_time,
             pass2_time,
             threads_used: threads,
-        })
+        };
+        Ok((report, shared))
     }
 
     /// Pass 1 for one `(model, batch)`: enumerate cuts, evaluate every
@@ -698,7 +788,13 @@ impl Optimizer {
         // timely response).
         let upgraded = self.upgrade_memories(&shared.profile, winner, budget);
 
-        let plan = self.to_plan(graph, &shared.profile, upgraded);
+        let plan = chain_plan(
+            graph,
+            &upgraded.cut,
+            &upgraded.memories,
+            upgraded.time_s,
+            upgraded.cost,
+        );
         Ok(PointSolve {
             plan,
             best_cost,
@@ -845,9 +941,8 @@ impl Optimizer {
         })
     }
 
-    /// Evaluates all cuts, fanning out over `threads` scoped workers.
-    /// Workers pull cut indices from a shared counter and write into
-    /// per-cut slots, so the returned order matches the sequential loop.
+    /// Evaluates all cuts, fanning out over `threads` workers with
+    /// [`ordered_map`], so the returned order matches the sequential loop.
     fn evaluate_cuts(
         &self,
         profile: &Profile,
@@ -855,46 +950,12 @@ impl Optimizer {
         threads: usize,
         cache: &SegmentColumnCache,
     ) -> Vec<CutEval> {
-        let workers = threads.min(cuts.len()).max(1);
-        if workers == 1 {
-            return cuts
-                .iter()
-                .enumerate()
-                .map(|(ci, cut)| self.eval_cut(profile, ci, cut, cache))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let parts: Vec<Vec<(usize, CutEval)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let ci = next.fetch_add(1, Ordering::Relaxed);
-                            if ci >= cuts.len() {
-                                break;
-                            }
-                            local.push((ci, self.eval_cut(profile, ci, &cuts[ci], cache)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pass-1 worker panicked"))
-                .collect()
-        });
-        let mut slots: Vec<Option<CutEval>> = (0..cuts.len()).map(|_| None).collect();
-        for part in parts {
-            for (ci, e) in part {
-                slots[ci] = Some(e);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every cut evaluated exactly once"))
-            .collect()
+        ordered_map(
+            cuts.len(),
+            threads,
+            || (),
+            |_, ci| self.eval_cut(profile, ci, &cuts[ci], cache),
+        )
     }
 
     /// Solves one prebuilt cut MIQP cold (no cutoff), aggregating solver
@@ -964,60 +1025,36 @@ impl Optimizer {
         counters: &SolveCounters,
         threads: usize,
     ) -> Vec<(usize, MiqpOutcome)> {
-        let workers = threads.min(ctx.jobs.len());
         let best = AtomicU64::new(ctx.bound_seed.to_bits());
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut ws = QpWorkspace::new();
-                        let mut local: Vec<(usize, MiqpOutcome)> = Vec::new();
-                        loop {
-                            let j = next.fetch_add(1, Ordering::Relaxed);
-                            if j >= ctx.jobs.len() {
-                                break;
-                            }
-                            let rank = ctx.jobs[j];
-                            let Some(pb) = &ctx.built[rank] else { continue };
-                            let bound = f64::from_bits(best.load(Ordering::Relaxed));
-                            if pb.lower > bound * (1.0 + self.cfg.cost_tolerance) + 1e-15 {
-                                // The dual root bound already proves this cut
-                                // cannot enter the tolerance set; skipping is
-                                // always safe here — the replay re-examines
-                                // (and lazily solves) any rank it still needs.
-                                continue;
-                            }
-                            // Sweep mode: inject the running bound as a B&B
-                            // cutoff so hopeless searches stop early. The
-                            // incumbents such a run reports are genuinely
-                            // feasible (the cutoff only prunes tree nodes),
-                            // so they may still tighten the shared bound.
-                            let cutoff = (ctx.use_cutoff && bound.is_finite())
-                                .then_some(bound * (1.0 + self.cfg.cost_tolerance) + 1e-15);
-                            let (outcome, clean) =
-                                self.solve_prebuilt_bounded(pb, cutoff, &mut ws, counters);
-                            if let Some((_, t, c)) = &outcome {
-                                if self.cfg.slo_s.is_none_or(|slo| *t <= slo + 1e-9) {
-                                    atomic_min_f64(&best, *c);
-                                }
-                            }
-                            // Memoize only cutoff-clean results: anything
-                            // else is not provably cold-identical, and the
-                            // replay must lazily re-solve it.
-                            if clean {
-                                local.push((rank, outcome));
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("pass-2 worker panicked"))
-                .collect()
-        })
+        let solved = ordered_map(ctx.jobs.len(), threads, QpWorkspace::new, |ws, j| {
+            let rank = ctx.jobs[j];
+            let pb = ctx.built[rank].as_ref()?;
+            let bound = f64::from_bits(best.load(Ordering::Relaxed));
+            if pb.lower > bound * (1.0 + self.cfg.cost_tolerance) + 1e-15 {
+                // The dual root bound already proves this cut cannot enter
+                // the tolerance set; skipping is always safe here — the
+                // replay re-examines (and lazily solves) any rank it still
+                // needs.
+                return None;
+            }
+            // Sweep mode: inject the running bound as a B&B cutoff so
+            // hopeless searches stop early. The incumbents such a run
+            // reports are genuinely feasible (the cutoff only prunes tree
+            // nodes), so they may still tighten the shared bound.
+            let cutoff = (ctx.use_cutoff && bound.is_finite())
+                .then_some(bound * (1.0 + self.cfg.cost_tolerance) + 1e-15);
+            let (outcome, clean) = self.solve_prebuilt_bounded(pb, cutoff, ws, counters);
+            if let Some((_, t, c)) = &outcome {
+                if self.cfg.slo_s.is_none_or(|slo| *t <= slo + 1e-9) {
+                    atomic_min_f64(&best, *c);
+                }
+            }
+            // Memoize only cutoff-clean results: anything else is not
+            // provably cold-identical, and the replay must lazily re-solve
+            // it.
+            clean.then_some((rank, outcome))
+        });
+        solved.into_iter().flatten().collect()
     }
 
     /// Greedy memory upgrades within the cost budget, over the *full*
@@ -1060,25 +1097,6 @@ impl Optimizer {
         current
     }
 
-    fn to_plan(&self, graph: &LayerGraph, _profile: &Profile, c: Candidate) -> ExecutionPlan {
-        let mut partitions = Vec::with_capacity(c.cut.len());
-        let mut start = 0usize;
-        for (i, &end) in c.cut.iter().enumerate() {
-            partitions.push(PartitionPlan {
-                start,
-                end,
-                memory_mb: c.memories[i],
-            });
-            start = end + 1;
-        }
-        ExecutionPlan {
-            model: graph.name.clone(),
-            partitions,
-            predicted_time_s: c.time_s,
-            predicted_cost: c.cost,
-        }
-    }
-
     /// Chain-vs-DAG optimization: computes the chain incumbent with
     /// [`Optimizer::optimize`], then searches branch-parallel refinements
     /// over the model's fork/join regions (see
@@ -1094,33 +1112,11 @@ impl Optimizer {
     /// fastest within `cost_tolerance` of the optimum), so callers never
     /// pay for parallelism that the communication fees eat.
     pub fn optimize_dag(&self, graph: &LayerGraph) -> Result<DagReport, OptimizeError> {
-        let t0 = Instant::now();
         let threads = self.resolve_threads();
-        let p1 = Instant::now();
         // One batched profile serves both the chain solve and the region
         // search (the chain pass's `BatchShared` carries it, along with
         // the segment/node memo tables the search reads).
-        let profile = Profile::batched(graph, self.cfg.batch_size);
-        let shared = self.build_shared(profile, threads)?;
-        let pass1_time = p1.elapsed();
-        let p2 = Instant::now();
-        let sol = self.solve_point(graph, &shared, threads, None, None, None)?;
-        let pass2_time = p2.elapsed();
-        let chain = OptimizerReport {
-            plan: sol.plan,
-            cuts_considered: shared.cuts.len(),
-            miqps_solved: sol.miqps_solved,
-            miqps_pruned: sol.miqps_pruned,
-            bb_nodes: sol.bb_nodes,
-            qp_relaxations: sol.qp_relaxations,
-            warm_start_hits: sol.warm_start_hits,
-            column_cache_hits: shared.cache.hits(),
-            column_cache_misses: shared.cache.misses(),
-            solve_time: t0.elapsed(),
-            pass1_time,
-            pass2_time,
-            threads_used: threads,
-        };
+        let (chain, shared) = self.solve_chain(graph, threads)?;
         let ds = DagShared::new(graph, &shared.profile, &self.cfg);
         let s0 = Instant::now();
         let (dag, regions_used, mut search) =
@@ -1138,8 +1134,8 @@ impl Optimizer {
     /// The greedy region search against a chain incumbent. Each round
     /// evaluates every still-insertable region as a trial plan; a trial's
     /// construction is independent of the round's running incumbent, so
-    /// with `threads > 1` the trials are built concurrently into
-    /// per-trial slots and the acceptance scan replays sequentially in
+    /// with `threads > 1` the trials are built concurrently by
+    /// [`ordered_map`] and the acceptance scan replays sequentially in
     /// region order — the same speculative-work/deterministic-replay
     /// discipline as pass 2, making the accepted set bit-identical to the
     /// serial loop at every thread count. Returns the winning DAG (if
@@ -1173,55 +1169,15 @@ impl Optimizer {
                 break;
             }
             trials_evaluated += work.len();
-            let plans: Vec<Option<DagPlan>> = if threads > 1 && work.len() > 1 {
-                let next = AtomicUsize::new(0);
-                let parts: Vec<(usize, Option<DagPlan>)> = std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..threads.min(work.len()))
-                        .map(|_| {
-                            s.spawn(|| {
-                                let mut local = Vec::new();
-                                loop {
-                                    let wi = next.fetch_add(1, Ordering::Relaxed);
-                                    if wi >= work.len() {
-                                        break;
-                                    }
-                                    local.push((
-                                        wi,
-                                        self.build_dag(
-                                            graph,
-                                            sh,
-                                            ds,
-                                            &work[wi].1,
-                                            Some(&node_track),
-                                            Some(&spine_track),
-                                        ),
-                                    ));
-                                }
-                                local
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("dag trial worker panicked"))
-                        .collect()
-                });
-                let mut slots: Vec<Option<Option<DagPlan>>> =
-                    (0..work.len()).map(|_| None).collect();
-                for (wi, p) in parts {
-                    slots[wi] = Some(p);
-                }
-                slots
-                    .into_iter()
-                    .map(|s| s.expect("every trial ran exactly once"))
-                    .collect()
-            } else {
-                work.iter()
-                    .map(|(_, t)| {
-                        self.build_dag(graph, sh, ds, t, Some(&node_track), Some(&spine_track))
-                    })
-                    .collect()
-            };
+            let plans = ordered_map(
+                work.len(),
+                threads,
+                || (),
+                |_, wi| {
+                    let trial = &work[wi].1;
+                    self.build_dag(graph, sh, ds, trial, Some(&node_track), Some(&spine_track))
+                },
+            );
             // Deterministic replay of the acceptance scan in region
             // order. A trial must beat the round's incumbent *and* stay a
             // winner against the chain anchor — without the second test,
@@ -1607,19 +1563,6 @@ impl Optimizer {
         }
         Some(plan)
     }
-}
-
-/// Forward schedule of a whole DAG: fills `finish` per node and returns
-/// the plan-level `(time, cost)` with `predict_dag`'s exact arithmetic —
-/// full-array max fold for the makespan, ordered sum for the cost.
-fn dag_schedule(parents: &[Vec<usize>], evals: &[(f64, f64)], finish: &mut [f64]) -> (f64, f64) {
-    for v in 0..evals.len() {
-        let ready = parents[v].iter().map(|&u| finish[u]).fold(0.0f64, f64::max);
-        finish[v] = ready + evals[v].0;
-    }
-    let time = finish.iter().copied().fold(0.0f64, f64::max);
-    let cost = evals.iter().map(|&(_, d)| d).sum();
-    (time, cost)
 }
 
 /// Schedule with node `v`'s evaluation replaced by `ev`, reusing the

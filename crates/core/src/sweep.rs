@@ -22,17 +22,25 @@
 //!    threads fan out *inside* each point's two passes. Results merge in
 //!    grid order.
 //!
+//! One private grid driver does all three for [`Optimizer::optimize_sweep`]
+//! and [`Optimizer::optimize_dag_sweep`]: the DAG sweep is the chain sweep
+//! with the region search switched on at every solved point.
+//! [`Optimizer::optimize_pipelined`] shares the driver's per-batch build.
+//!
 //! The report marks the per-batch Pareto frontier over (time, cost) with
 //! the knee point flagged — the grid point a cost/latency trade-off
 //! discussion would pick.
 
+use crate::baselines::stage_times;
 use crate::colcache::CacheCounters;
 use crate::cuts::DagShared;
-use crate::optimizer::{BatchShared, CutEval, DagSearchStats, OptimizeError, Optimizer};
-use crate::plan::{DagPlan, ExecutionPlan, PartitionPlan, PipelinePlan};
+use crate::optimizer::{
+    chain_plan, ordered_map, BatchShared, CutEval, DagSearchStats, OptimizeError, Optimizer,
+    PrebuiltCache,
+};
+use crate::plan::{DagPlan, ExecutionPlan, PipelinePlan};
 use ampsinf_model::LayerGraph;
-use ampsinf_profiler::{batched_unique, quick_eval};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use ampsinf_profiler::batched_unique;
 use std::time::{Duration, Instant};
 
 /// The SLO × batch grid a sweep plans. The grid is the cross product of
@@ -305,197 +313,160 @@ impl PipelineSweepReport {
     }
 }
 
-/// One batch group awaiting execution: the shared pass-1 state (or the
-/// error every point inherits) plus the SLO indices in tight-to-loose
-/// execution order.
-struct BatchGroup<'a> {
-    bi: usize,
-    batch: u64,
-    shared: &'a Result<BatchShared, OptimizeError>,
-    /// Indices into `grid.slos`, ascending by SLO value (stable on ties).
-    exec_order: Vec<usize>,
+/// What every batch of a grid shares across its SLO points: the pass-1
+/// state, plus the region-search tables when the driver runs the region
+/// search — or the error every point of the batch inherits.
+type BatchState = Result<(BatchShared, Option<DagShared>), OptimizeError>;
+
+/// The state [`Optimizer::build_batches`] built for batch `b`.
+fn state_of(built: &[(u64, BatchState)], b: u64) -> &BatchState {
+    &built
+        .iter()
+        .find(|(seen, _)| *seen == b)
+        .expect("every grid batch was profiled")
+        .1
+}
+
+/// The grid driver's output: every point in grid order plus the state
+/// each distinct batch built, for the reports' cumulative counters.
+struct GridRun {
+    /// Every grid point, batch-major in grid order. Without the region
+    /// search, `dag` is `None` and `search` is zero on every point.
+    points: Vec<DagSweepPoint>,
+    /// The per-batch state that built, in first-occurrence batch order.
+    shared: Vec<(BatchShared, Option<DagShared>)>,
+    /// Wall-clock of the per-batch builds.
+    pass1_time: Duration,
+    /// Worker threads the driver was allowed to use.
+    threads: usize,
 }
 
 impl Optimizer {
-    /// Plans every point of `grid` in one call. See the module docs for
-    /// what is shared across points; the contract is that every returned
-    /// plan is bit-identical to an independent [`Optimizer::optimize`]
-    /// call at that point's `(slo, batch)` — at every thread count, with
-    /// seeding on or off.
-    pub fn optimize_sweep(&self, graph: &LayerGraph, grid: &SweepGrid) -> SweepReport {
-        let t0 = Instant::now();
-        let threads = self.resolve_threads();
-
-        // Shared pass 1, once per distinct batch, each with full fan-out.
-        let p1 = Instant::now();
-        let shared_by_batch: Vec<(u64, Result<BatchShared, OptimizeError>)> =
-            batched_unique(graph, &grid.batches)
-                .into_iter()
-                .map(|(b, profile)| {
-                    let mut cfg = self.config().clone();
-                    cfg.batch_size = b;
-                    let built = Optimizer::new(cfg).build_shared(profile, threads);
-                    (b, built)
-                })
-                .collect();
-        let pass1_time = p1.elapsed();
-
-        let groups: Vec<BatchGroup<'_>> = grid
-            .batches
-            .iter()
-            .enumerate()
-            .map(|(bi, &b)| {
-                let shared = &shared_by_batch
-                    .iter()
-                    .find(|(seen, _)| *seen == b)
-                    .expect("every grid batch was profiled")
-                    .1;
-                let mut exec_order: Vec<usize> = (0..grid.slos.len()).collect();
-                exec_order.sort_by(|&a, &c| {
-                    grid.slos[a]
-                        .partial_cmp(&grid.slos[c])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                BatchGroup {
-                    bi,
-                    batch: b,
-                    shared,
-                    exec_order,
-                }
-            })
-            .collect();
-
-        // Batch chains run concurrently; the threads left over fan out
-        // inside each point. Both splits depend only on the grid shape
-        // and `threads`, never on interleaving.
-        let workers = threads.min(groups.len()).max(1);
-        let inner = (threads / workers).max(1);
-        let chains: Vec<Vec<SweepPoint>> = if workers == 1 {
-            groups
-                .iter()
-                .map(|g| self.run_chain(graph, grid, g, inner))
-                .collect()
-        } else {
-            let next = AtomicUsize::new(0);
-            let parts: Vec<Vec<(usize, Vec<SweepPoint>)>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut local = Vec::new();
-                            loop {
-                                let gi = next.fetch_add(1, Ordering::Relaxed);
-                                if gi >= groups.len() {
-                                    break;
-                                }
-                                local.push((gi, self.run_chain(graph, grid, &groups[gi], inner)));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sweep chain worker panicked"))
-                    .collect()
-            });
-            let mut slots: Vec<Option<Vec<SweepPoint>>> = (0..groups.len()).map(|_| None).collect();
-            for part in parts {
-                for (gi, chain) in part {
-                    slots[gi] = Some(chain);
-                }
-            }
-            slots
-                .into_iter()
-                .map(|s| s.expect("every chain ran exactly once"))
-                .collect()
-        };
-
-        // Deterministic merge into grid order: chain `bi` produced its
-        // points keyed by SLO index.
-        let n = grid.slos.len();
-        let mut points: Vec<Option<SweepPoint>> = (0..grid.len()).map(|_| None).collect();
-        for (g, chain) in groups.iter().zip(chains) {
-            for (si, point) in g.exec_order.iter().zip(chain) {
-                points[g.bi * n + si] = Some(point);
-            }
-        }
-        let mut points: Vec<SweepPoint> = points
-            .into_iter()
-            .map(|p| p.expect("every grid point planned exactly once"))
-            .collect();
-
-        let pareto = mark_pareto(&mut points, grid.batches.len(), n);
-
-        let cache_hits: usize = shared_by_batch
-            .iter()
-            .filter_map(|(_, s)| s.as_ref().ok().map(|sh| sh.cache.hits()))
-            .sum();
-        let cache_misses: usize = shared_by_batch
-            .iter()
-            .filter_map(|(_, s)| s.as_ref().ok().map(|sh| sh.cache.misses()))
-            .sum();
-        let cuts_considered: usize = shared_by_batch
-            .iter()
-            .filter_map(|(_, s)| s.as_ref().ok().map(|sh| sh.cuts.len()))
-            .sum();
-
-        SweepReport {
-            points,
-            pareto,
-            cuts_considered,
-            cache_hits,
-            cache_misses,
-            pass1_time,
-            total_time: t0.elapsed(),
-            threads_used: threads,
-        }
-    }
-
-    /// Solves one batch group's points tight-to-loose, threading each
-    /// completed point's optimum into the next as the prior bound.
-    fn run_chain(
+    /// Builds the shared state of every distinct batch of `grid`, in
+    /// first-occurrence order: [`BatchShared`] with `threads`-wide fan-out,
+    /// plus [`DagShared`] only when `dag` asks for the region search.
+    fn build_batches(
         &self,
         graph: &LayerGraph,
         grid: &SweepGrid,
-        group: &BatchGroup<'_>,
-        inner_threads: usize,
-    ) -> Vec<SweepPoint> {
-        let mut out = Vec::with_capacity(group.exec_order.len());
+        threads: usize,
+        dag: bool,
+    ) -> Vec<(u64, BatchState)> {
+        batched_unique(graph, &grid.batches)
+            .into_iter()
+            .map(|(b, profile)| {
+                let mut cfg = self.config().clone();
+                cfg.batch_size = b;
+                let built = Optimizer::new(cfg.clone())
+                    .build_shared(profile, threads)
+                    .map(|sh| {
+                        let ds = dag.then(|| DagShared::new(graph, &sh.profile, &cfg));
+                        (sh, ds)
+                    });
+                (b, built)
+            })
+            .collect()
+    }
+
+    /// The grid driver behind [`Optimizer::optimize_sweep`] and
+    /// [`Optimizer::optimize_dag_sweep`]. Each distinct batch builds its
+    /// shared state once; each grid batch then solves its points tight to
+    /// loose ([`Optimizer::run_batch`]). Batches run concurrently and the
+    /// threads left over fan out inside each point; both splits depend
+    /// only on the grid shape and the thread count. Points merge back in
+    /// grid order.
+    fn run_grid(&self, graph: &LayerGraph, grid: &SweepGrid, dag: bool) -> GridRun {
+        let threads = self.resolve_threads();
+        let p1 = Instant::now();
+        let built = self.build_batches(graph, grid, threads, dag);
+        let pass1_time = p1.elapsed();
+
+        // Every batch solves its SLOs ascending by value (stable on ties).
+        let mut exec_order: Vec<usize> = (0..grid.slos.len()).collect();
+        exec_order.sort_by(|&a, &c| {
+            grid.slos[a]
+                .partial_cmp(&grid.slos[c])
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        let workers = threads.min(grid.batches.len()).max(1);
+        let inner = (threads / workers).max(1);
+        let chains = ordered_map(
+            grid.batches.len(),
+            threads,
+            || (),
+            |_, bi| {
+                let b = grid.batches[bi];
+                self.run_batch(graph, grid, b, state_of(&built, b), &exec_order, inner)
+            },
+        );
+
+        let n = grid.slos.len();
+        let mut points: Vec<Option<DagSweepPoint>> = (0..grid.len()).map(|_| None).collect();
+        for (bi, chain) in chains.into_iter().enumerate() {
+            for (&si, point) in exec_order.iter().zip(chain) {
+                points[bi * n + si] = Some(point);
+            }
+        }
+        GridRun {
+            points: points
+                .into_iter()
+                .map(|p| p.expect("every grid point planned exactly once"))
+                .collect(),
+            shared: built.into_iter().filter_map(|(_, s)| s.ok()).collect(),
+            pass1_time,
+            threads,
+        }
+    }
+
+    /// Solves one batch's points in `exec_order` (tight to loose),
+    /// threading each solved point's optimum into the next as the prior
+    /// bound, and runs the region search at every solved point when the
+    /// batch has its tables.
+    fn run_batch(
+        &self,
+        graph: &LayerGraph,
+        grid: &SweepGrid,
+        batch: u64,
+        state: &BatchState,
+        exec_order: &[usize],
+        inner: usize,
+    ) -> Vec<DagSweepPoint> {
         let mut bound: Option<f64> = None;
-        // Chain-scoped memo of SLO-free prebuilt MIQPs: every point of
-        // the chain reuses a cut's assembled problem and dual profile,
+        // Batch-scoped memo of SLO-free prebuilt MIQPs: every point of
+        // the batch reuses a cut's assembled problem and dual profile,
         // paying only the cheap per-SLO bound evaluation.
-        let mut prebuilt = crate::optimizer::PrebuiltCache::new();
-        for &si in &group.exec_order {
+        let mut prebuilt = PrebuiltCache::new();
+        let mut out = Vec::with_capacity(exec_order.len());
+        for &si in exec_order {
             let slo = grid.slos[si];
             let t = Instant::now();
             let mut cfg = self.config().clone();
-            cfg.batch_size = group.batch;
+            cfg.batch_size = batch;
             cfg.slo_s = Some(slo);
             let seed = if cfg.sweep_seed_bounds { bound } else { None };
             let point_opt = Optimizer::new(cfg);
-            let counters = CacheCounters::new();
-            let (outcome, stats) = match group.shared {
-                Err(e) => (Err(e.clone()), PointStats::default()),
-                Ok(sh) => {
-                    match point_opt.solve_point(
+            let mut stats = PointStats::default();
+            let (mut dag, mut regions_used, mut search) = (None, 0, DagSearchStats::default());
+            let outcome = match state {
+                Err(e) => Err(e.clone()),
+                Ok((sh, ds)) => {
+                    let counters = CacheCounters::new();
+                    let solved = point_opt.solve_point(
                         graph,
                         sh,
-                        inner_threads,
+                        inner,
                         seed,
                         Some(&counters),
                         Some(&mut prebuilt),
-                    ) {
-                        Err(e) => (
-                            Err(e),
-                            PointStats {
-                                seeded: seed.is_some(),
-                                ..PointStats::default()
-                            },
-                        ),
+                    );
+                    match solved {
+                        Err(e) => {
+                            stats.seeded = seed.is_some();
+                            Err(e)
+                        }
                         Ok(ps) => {
                             bound = Some(bound.map_or(ps.best_cost, |b| b.min(ps.best_cost)));
-                            let stats = PointStats {
+                            stats = PointStats {
                                 miqps_solved: ps.miqps_solved,
                                 miqps_pruned: ps.miqps_pruned,
                                 bb_nodes: ps.bb_nodes,
@@ -507,18 +478,26 @@ impl Optimizer {
                                 seed_fallback: ps.seed_fallback,
                                 solve_time: Duration::ZERO,
                             };
-                            (Ok(ps.plan), stats)
+                            if let Some(ds) = ds {
+                                let s0 = Instant::now();
+                                (dag, regions_used, search) =
+                                    point_opt.dag_search(graph, sh, ds, &ps.plan, inner);
+                                search.search_time = s0.elapsed();
+                            }
+                            Ok(ps.plan)
                         }
                     }
                 }
             };
-            let mut stats = stats;
             stats.solve_time = t.elapsed();
-            out.push(SweepPoint {
+            out.push(DagSweepPoint {
                 slo_s: slo,
-                batch: group.batch,
+                batch,
                 outcome,
+                dag,
+                regions_used,
                 stats,
+                search,
                 dominated: false,
                 knee: false,
             });
@@ -526,236 +505,80 @@ impl Optimizer {
         out
     }
 
+    /// Plans every point of `grid` in one call. See the module docs for
+    /// what is shared across points; the contract is that every returned
+    /// plan is bit-identical to an independent [`Optimizer::optimize`]
+    /// call at that point's `(slo, batch)` — at every thread count, with
+    /// seeding on or off.
+    pub fn optimize_sweep(&self, graph: &LayerGraph, grid: &SweepGrid) -> SweepReport {
+        let t0 = Instant::now();
+        let run = self.run_grid(graph, grid, false);
+        let mut points: Vec<SweepPoint> = run
+            .points
+            .into_iter()
+            .map(|p| SweepPoint {
+                slo_s: p.slo_s,
+                batch: p.batch,
+                outcome: p.outcome,
+                stats: p.stats,
+                dominated: false,
+                knee: false,
+            })
+            .collect();
+        let pareto = mark_frontier(&mut points, grid.batches.len(), grid.slos.len(), true);
+        SweepReport {
+            points,
+            pareto,
+            cuts_considered: run.shared.iter().map(|(sh, _)| sh.cuts.len()).sum(),
+            cache_hits: run.shared.iter().map(|(sh, _)| sh.cache.hits()).sum(),
+            cache_misses: run.shared.iter().map(|(sh, _)| sh.cache.misses()).sum(),
+            pass1_time: run.pass1_time,
+            total_time: t0.elapsed(),
+            threads_used: run.threads,
+        }
+    }
+
     /// Plans every point of `grid` with the branch-parallel search of
     /// [`Optimizer::optimize_dag`]: each point gets the chain incumbent
     /// *and* the greedy fork/join region search against it.
     ///
-    /// Reuses [`Optimizer::optimize_sweep`]'s amortization for the chain
-    /// side (shared pass 1, tight-to-loose bound seeding, prebuilt MIQPs,
-    /// parallel batch chains) and adds the DAG side's own sharing: the
-    /// region candidates, scatter/gather byte tables, spine-span memo,
-    /// and node-evaluation memo are built once per distinct batch
-    /// ([`DagShared`] is SLO-independent) and warmed further by every
-    /// point of the batch. The contract matches `optimize_sweep`'s: every
-    /// point's chain plan *and* DAG verdict are bit-identical to an
-    /// independent [`Optimizer::optimize_dag`] call at that `(slo,
-    /// batch)` — at every thread count, seeding on or off — because every
-    /// memoized value is a pure function of its key.
+    /// The same grid driver as [`Optimizer::optimize_sweep`] (shared pass
+    /// 1, tight-to-loose bound seeding, prebuilt MIQPs, parallel batches)
+    /// with the region search switched on, which adds the DAG side's own
+    /// sharing: the region candidates, scatter/gather byte tables,
+    /// spine-span memo, and node-evaluation memo are built once per
+    /// distinct batch ([`DagShared`] is SLO-independent) and warmed
+    /// further by every point of the batch. The contract matches
+    /// `optimize_sweep`'s: every point's chain plan *and* DAG verdict are
+    /// bit-identical to an independent [`Optimizer::optimize_dag`] call at
+    /// that `(slo, batch)` — at every thread count, seeding on or off —
+    /// because every memoized value is a pure function of its key.
     pub fn optimize_dag_sweep(&self, graph: &LayerGraph, grid: &SweepGrid) -> DagSweepReport {
         let t0 = Instant::now();
-        let threads = self.resolve_threads();
-
-        // Shared pass 1 plus the DAG search's shared tables, once per
-        // distinct batch.
-        let p1 = Instant::now();
-        type DagBatch = (BatchShared, DagShared);
-        let shared_by_batch: Vec<(u64, Result<DagBatch, OptimizeError>)> =
-            batched_unique(graph, &grid.batches)
-                .into_iter()
-                .map(|(b, profile)| {
-                    let mut cfg = self.config().clone();
-                    cfg.batch_size = b;
-                    let built = Optimizer::new(cfg.clone())
-                        .build_shared(profile, threads)
-                        .map(|sh| {
-                            let ds = DagShared::new(graph, &sh.profile, &cfg);
-                            (sh, ds)
-                        });
-                    (b, built)
-                })
-                .collect();
-        let pass1_time = p1.elapsed();
-
-        struct DagGroup<'a> {
-            bi: usize,
-            batch: u64,
-            shared: &'a Result<(BatchShared, DagShared), OptimizeError>,
-            exec_order: Vec<usize>,
-        }
-        let groups: Vec<DagGroup<'_>> = grid
-            .batches
-            .iter()
-            .enumerate()
-            .map(|(bi, &b)| {
-                let shared = &shared_by_batch
-                    .iter()
-                    .find(|(seen, _)| *seen == b)
-                    .expect("every grid batch was profiled")
-                    .1;
-                let mut exec_order: Vec<usize> = (0..grid.slos.len()).collect();
-                exec_order.sort_by(|&a, &c| {
-                    grid.slos[a]
-                        .partial_cmp(&grid.slos[c])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                DagGroup {
-                    bi,
-                    batch: b,
-                    shared,
-                    exec_order,
-                }
+        let mut run = self.run_grid(graph, grid, true);
+        let pareto = mark_frontier(&mut run.points, grid.batches.len(), grid.slos.len(), true);
+        let tables = || {
+            run.shared.iter().map(|(sh, ds)| {
+                (
+                    sh,
+                    ds.as_ref().expect("the region search builds its tables"),
+                )
             })
-            .collect();
-
-        // Same deterministic thread split as `optimize_sweep`: batch
-        // chains concurrently, leftover threads inside each point (where
-        // they also fan out the region trials).
-        let run_group = |g: &DagGroup<'_>, inner: usize| -> Vec<DagSweepPoint> {
-            let mut out = Vec::with_capacity(g.exec_order.len());
-            let mut bound: Option<f64> = None;
-            let mut prebuilt = crate::optimizer::PrebuiltCache::new();
-            for &si in &g.exec_order {
-                let slo = grid.slos[si];
-                let t = Instant::now();
-                let mut cfg = self.config().clone();
-                cfg.batch_size = g.batch;
-                cfg.slo_s = Some(slo);
-                let seed = if cfg.sweep_seed_bounds { bound } else { None };
-                let point_opt = Optimizer::new(cfg);
-                let counters = CacheCounters::new();
-                let mut point = match g.shared {
-                    Err(e) => DagSweepPoint {
-                        slo_s: slo,
-                        batch: g.batch,
-                        outcome: Err(e.clone()),
-                        dag: None,
-                        regions_used: 0,
-                        stats: PointStats::default(),
-                        search: DagSearchStats::default(),
-                        dominated: false,
-                        knee: false,
-                    },
-                    Ok((sh, ds)) => {
-                        match point_opt.solve_point(
-                            graph,
-                            sh,
-                            inner,
-                            seed,
-                            Some(&counters),
-                            Some(&mut prebuilt),
-                        ) {
-                            Err(e) => DagSweepPoint {
-                                slo_s: slo,
-                                batch: g.batch,
-                                outcome: Err(e),
-                                dag: None,
-                                regions_used: 0,
-                                stats: PointStats {
-                                    seeded: seed.is_some(),
-                                    ..PointStats::default()
-                                },
-                                search: DagSearchStats::default(),
-                                dominated: false,
-                                knee: false,
-                            },
-                            Ok(ps) => {
-                                bound = Some(bound.map_or(ps.best_cost, |b| b.min(ps.best_cost)));
-                                let stats = PointStats {
-                                    miqps_solved: ps.miqps_solved,
-                                    miqps_pruned: ps.miqps_pruned,
-                                    bb_nodes: ps.bb_nodes,
-                                    qp_relaxations: ps.qp_relaxations,
-                                    warm_start_hits: ps.warm_start_hits,
-                                    cache_hits: counters.hits(),
-                                    cache_misses: counters.misses(),
-                                    seeded: ps.seeded,
-                                    seed_fallback: ps.seed_fallback,
-                                    solve_time: Duration::ZERO,
-                                };
-                                let s0 = Instant::now();
-                                let (dag, regions_used, mut search) =
-                                    point_opt.dag_search(graph, sh, ds, &ps.plan, inner);
-                                search.search_time = s0.elapsed();
-                                DagSweepPoint {
-                                    slo_s: slo,
-                                    batch: g.batch,
-                                    outcome: Ok(ps.plan),
-                                    dag,
-                                    regions_used,
-                                    stats,
-                                    search,
-                                    dominated: false,
-                                    knee: false,
-                                }
-                            }
-                        }
-                    }
-                };
-                point.stats.solve_time = t.elapsed();
-                out.push(point);
-            }
-            out
         };
-        let workers = threads.min(groups.len()).max(1);
-        let inner = (threads / workers).max(1);
-        let chains: Vec<Vec<DagSweepPoint>> = if workers == 1 {
-            groups.iter().map(|g| run_group(g, inner)).collect()
-        } else {
-            let next = AtomicUsize::new(0);
-            let parts: Vec<Vec<(usize, Vec<DagSweepPoint>)>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut local = Vec::new();
-                            loop {
-                                let gi = next.fetch_add(1, Ordering::Relaxed);
-                                if gi >= groups.len() {
-                                    break;
-                                }
-                                local.push((gi, run_group(&groups[gi], inner)));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("dag sweep chain worker panicked"))
-                    .collect()
-            });
-            let mut slots: Vec<Option<Vec<DagSweepPoint>>> =
-                (0..groups.len()).map(|_| None).collect();
-            for part in parts {
-                for (gi, chain) in part {
-                    slots[gi] = Some(chain);
-                }
-            }
-            slots
-                .into_iter()
-                .map(|s| s.expect("every chain ran exactly once"))
-                .collect()
-        };
-
-        // Deterministic merge into grid order.
-        let n = grid.slos.len();
-        let mut points: Vec<Option<DagSweepPoint>> = (0..grid.len()).map(|_| None).collect();
-        for (g, chain) in groups.iter().zip(chains) {
-            for (si, point) in g.exec_order.iter().zip(chain) {
-                points[g.bi * n + si] = Some(point);
-            }
-        }
-        let mut points: Vec<DagSweepPoint> = points
-            .into_iter()
-            .map(|p| p.expect("every grid point planned exactly once"))
-            .collect();
-
-        let pareto = mark_frontier(&mut points, grid.batches.len(), n, true);
-
-        let ok_shared = || shared_by_batch.iter().filter_map(|(_, s)| s.as_ref().ok());
         DagSweepReport {
-            points,
+            regions_considered: tables().map(|(_, ds)| ds.regions.len()).sum(),
+            cuts_considered: tables().map(|(sh, _)| sh.cuts.len()).sum(),
+            cache_hits: tables().map(|(sh, _)| sh.cache.hits()).sum(),
+            cache_misses: tables().map(|(sh, _)| sh.cache.misses()).sum(),
+            node_memo_hits: tables().map(|(sh, _)| sh.cache.node_hits()).sum(),
+            node_memo_misses: tables().map(|(sh, _)| sh.cache.node_misses()).sum(),
+            spine_span_hits: tables().map(|(_, ds)| ds.spine_hits()).sum(),
+            spine_spans_solved: tables().map(|(_, ds)| ds.spine_solves()).sum(),
             pareto,
-            regions_considered: ok_shared().map(|(_, ds)| ds.regions.len()).sum(),
-            cuts_considered: ok_shared().map(|(sh, _)| sh.cuts.len()).sum(),
-            cache_hits: ok_shared().map(|(sh, _)| sh.cache.hits()).sum(),
-            cache_misses: ok_shared().map(|(sh, _)| sh.cache.misses()).sum(),
-            node_memo_hits: ok_shared().map(|(sh, _)| sh.cache.node_hits()).sum(),
-            node_memo_misses: ok_shared().map(|(sh, _)| sh.cache.node_misses()).sum(),
-            spine_span_hits: ok_shared().map(|(_, ds)| ds.spine_hits()).sum(),
-            spine_spans_solved: ok_shared().map(|(_, ds)| ds.spine_solves()).sum(),
-            pass1_time,
+            pass1_time: run.pass1_time,
             total_time: t0.elapsed(),
-            threads_used: threads,
+            threads_used: run.threads,
+            points: run.points,
         }
     }
 
@@ -769,34 +592,19 @@ impl Optimizer {
     /// slowest stage is shortest, i.e. the cut that best balances stage
     /// times and therefore minimizes pipeline stalls.
     ///
-    /// Reuses [`Optimizer::optimize_sweep`]'s amortization: the profile,
-    /// cut enumeration, and every cut's separable column optima are built
+    /// Shares the grid driver's per-batch build: the profile, cut
+    /// enumeration, and every cut's separable column optima are built
     /// once per distinct batch and shared by every SLO point.
     pub fn optimize_pipelined(&self, graph: &LayerGraph, grid: &SweepGrid) -> PipelineSweepReport {
         let t0 = Instant::now();
-        let threads = self.resolve_threads();
-        let shared_by_batch: Vec<(u64, Result<BatchShared, OptimizeError>)> =
-            batched_unique(graph, &grid.batches)
-                .into_iter()
-                .map(|(b, profile)| {
-                    let mut cfg = self.config().clone();
-                    cfg.batch_size = b;
-                    let built = Optimizer::new(cfg).build_shared(profile, threads);
-                    (b, built)
-                })
-                .collect();
+        let built = self.build_batches(graph, grid, self.resolve_threads(), false);
 
         let mut points = Vec::with_capacity(grid.len());
         for &batch in &grid.batches {
-            let shared = &shared_by_batch
-                .iter()
-                .find(|(seen, _)| *seen == batch)
-                .expect("every grid batch was profiled")
-                .1;
             for &slo in &grid.slos {
-                let outcome = match shared {
+                let outcome = match state_of(&built, batch) {
                     Err(e) => Err(e.clone()),
-                    Ok(sh) => self.solve_pipelined_point(graph, sh, slo),
+                    Ok((sh, _)) => self.solve_pipelined_point(graph, sh, slo),
                 };
                 points.push(PipelinePoint {
                     slo_s: slo,
@@ -807,7 +615,7 @@ impl Optimizer {
             }
         }
 
-        mark_pipeline_dominance(&mut points, grid.batches.len(), grid.slos.len());
+        mark_frontier(&mut points, grid.batches.len(), grid.slos.len(), false);
 
         // Grid-best: max steady throughput (min bottleneck), then min
         // cost, then earliest grid index.
@@ -828,15 +636,13 @@ impl Optimizer {
             }
         }
 
-        let cuts_considered: usize = shared_by_batch
-            .iter()
-            .filter_map(|(_, s)| s.as_ref().ok().map(|sh| sh.cuts.len()))
-            .sum();
-
         PipelineSweepReport {
             points,
             best,
-            cuts_considered,
+            cuts_considered: built
+                .iter()
+                .filter_map(|(_, s)| s.as_ref().ok().map(|(sh, _)| sh.cuts.len()))
+                .sum(),
             total_time: t0.elapsed(),
         }
     }
@@ -875,15 +681,13 @@ impl Optimizer {
         let budget = floor * (1.0 + cfg.cost_tolerance) + 1e-15;
 
         // Pass B: among budget-feasible candidates, minimize the
-        // bottleneck stage. Stage durations come from `quick_eval` — the
+        // bottleneck stage. Stage durations come from `stage_times` — the
         // same arithmetic pass 1 used for the totals.
-        let n = sh.profile.num_layers();
         let mut best: Option<PipelinePlan> = None;
         for &oi in &sh.order {
             let CutEval::Feasible(fe) = &sh.evals[oi] else {
                 continue;
             };
-            let cut = &sh.cuts[fe.ci];
             let mut mixes: Vec<(&[u32], f64, f64)> = vec![(&fe.mems, fe.time, fe.cost)];
             if fe.min_mems != fe.mems {
                 mixes.push((&fe.min_mems, fe.min_time, fe.min_cost));
@@ -892,59 +696,18 @@ impl Optimizer {
                 if time > slo + 1e-9 || cost > budget {
                     continue;
                 }
-                let mut stage_times = Vec::with_capacity(cut.len());
-                let mut start = 0usize;
-                let mut ok = true;
-                for (i, (&end, &mem)) in cut.iter().zip(mems).enumerate() {
-                    match quick_eval(
-                        &sh.profile,
-                        start,
-                        end,
-                        mem,
-                        &cfg.quotas,
-                        &cfg.prices,
-                        &cfg.perf,
-                        &cfg.store,
-                        i == 0,
-                        end == n - 1,
-                    ) {
-                        Ok(e) => stage_times.push(e.duration_s),
-                        Err(_) => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    start = end + 1;
-                }
-                if !ok {
+                let plan = chain_plan(graph, &sh.cuts[fe.ci], mems, time, cost);
+                let Some(stage_times) = stage_times(&sh.profile, &plan, cfg) else {
                     continue;
-                }
-                let bottleneck = stage_times.iter().copied().fold(0.0f64, f64::max);
-                let replace = match &best {
-                    None => true,
-                    Some(b) => {
-                        bottleneck < b.bottleneck_s
-                            || (bottleneck == b.bottleneck_s && cost < b.plan.predicted_cost)
-                    }
                 };
+                let bottleneck = stage_times.iter().copied().fold(0.0f64, f64::max);
+                let replace = best.as_ref().is_none_or(|b| {
+                    bottleneck < b.bottleneck_s
+                        || (bottleneck == b.bottleneck_s && cost < b.plan.predicted_cost)
+                });
                 if replace {
-                    let mut partitions = Vec::with_capacity(cut.len());
-                    let mut s = 0usize;
-                    for (&end, &mem) in cut.iter().zip(mems) {
-                        partitions.push(PartitionPlan {
-                            start: s,
-                            end,
-                            memory_mb: mem,
-                        });
-                        s = end + 1;
-                    }
                     best = Some(PipelinePlan {
-                        plan: ExecutionPlan {
-                            model: graph.name.clone(),
-                            partitions,
-                            predicted_time_s: time,
-                            predicted_cost: cost,
-                        },
+                        plan,
                         stage_times_s: stage_times,
                         bottleneck_s: bottleneck,
                     });
@@ -1078,23 +841,6 @@ fn mark_frontier<P: FrontierPoint>(
     pareto
 }
 
-/// Marks per-batch dominance over (bottleneck, cost) in place
-/// ([`mark_frontier`] without knees; exact ties keep the lower index).
-fn mark_pipeline_dominance(
-    points: &mut [PipelinePoint],
-    num_batches: usize,
-    slos_per_batch: usize,
-) {
-    mark_frontier(points, num_batches, slos_per_batch, false);
-}
-
-/// Marks per-batch dominance and knees in place; returns the ascending
-/// frontier indices ([`mark_frontier`] over the chain plans' (time,
-/// cost)).
-fn mark_pareto(points: &mut [SweepPoint], num_batches: usize, slos_per_batch: usize) -> Vec<usize> {
-    mark_frontier(points, num_batches, slos_per_batch, true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1149,7 +895,7 @@ mod tests {
             point(0.4, 1, 9.0, 1.7),
             point(0.5, 1, 9.5, 5.0), // dominated by (9.0, 1.7)? no: 9.5 > 9.0 and 5.0 > 1.7 → dominated
         ];
-        let pareto = mark_pareto(&mut pts, 1, 5);
+        let pareto = mark_frontier(&mut pts, 1, 5, true);
         assert_eq!(pareto, vec![0, 1, 2, 3]);
         assert!(pts[4].dominated);
         assert!(!pts[1].dominated);
@@ -1163,7 +909,7 @@ mod tests {
             point(0.1, 1, 1.0, 1.0),
             point(0.2, 1, 1.0, 1.0), // exact duplicate → dominated by index 0
         ];
-        let pareto = mark_pareto(&mut pts, 1, 2);
+        let pareto = mark_frontier(&mut pts, 1, 2, true);
         assert_eq!(pareto, vec![0]);
         assert!(!pts[0].dominated);
         assert!(pts[1].dominated);
@@ -1178,14 +924,14 @@ mod tests {
             point(0.1, 8, 1.0, 1.0), // would dominate everything if global
             point(0.2, 8, 2.0, 2.0), // dominated within batch 8
         ];
-        let pareto = mark_pareto(&mut pts, 2, 2);
+        let pareto = mark_frontier(&mut pts, 2, 2, true);
         assert_eq!(pareto, vec![0, 2]);
     }
 
     #[test]
     fn short_frontier_has_no_knee() {
         let mut pts = vec![point(0.1, 1, 1.0, 2.0), point(0.2, 1, 2.0, 1.0)];
-        mark_pareto(&mut pts, 1, 2);
+        mark_frontier(&mut pts, 1, 2, true);
         assert!(pts.iter().all(|p| !p.knee));
     }
 
@@ -1193,7 +939,7 @@ mod tests {
     fn infeasible_points_are_skipped_by_pareto() {
         let mut pts = vec![point(0.1, 1, 1.0, 1.0), point(0.2, 1, 2.0, 2.0)];
         pts[0].outcome = Err(OptimizeError::SloInfeasible);
-        let pareto = mark_pareto(&mut pts, 1, 2);
+        let pareto = mark_frontier(&mut pts, 1, 2, true);
         assert_eq!(pareto, vec![1]);
         assert!(!pts[1].dominated);
     }
@@ -1230,7 +976,7 @@ mod tests {
             pipe_point(0.2, 8, 9.5, 9.5), // dominated within batch 8
             pipe_point(0.3, 8, 0.5, 9.9), // incomparable → kept
         ];
-        mark_pipeline_dominance(&mut pts, 2, 3);
+        mark_frontier(&mut pts, 2, 3, false);
         assert!(!pts[0].dominated);
         assert!(pts[1].dominated);
         assert!(!pts[2].dominated);

@@ -284,6 +284,10 @@ pub fn evaluate_segment(
 /// exhaustive searches (Baseline 3 sweeps hundreds of thousands of
 /// segment × memory points). `tests::quick_eval_equals_platform` pins the
 /// two paths to bit-equal results.
+///
+/// A chain partition is the one-in/one-out case of [`quick_eval_node`]:
+/// it reads the upstream tensor unless it is the first partition and
+/// writes its output unless it is the last.
 #[allow(clippy::too_many_arguments)]
 pub fn quick_eval(
     profile: &Profile,
@@ -297,65 +301,27 @@ pub fn quick_eval(
     is_first: bool,
     is_last: bool,
 ) -> Result<SegmentEval, EvalError> {
-    use ampsinf_faas::perf::LambdaPerf;
-
-    if !quotas.is_valid_memory(memory_mb) {
-        return Err(EvalError::Deploy(format!("invalid memory {memory_mb}")));
-    }
-    let weights = profile.weights(start, end);
-    let package = CODE_BYTES + DEPS_BYTES + weights;
-    if package > u64::from(quotas.deploy_limit_mb) * MB {
-        return Err(EvalError::Deploy("package too large".into()));
-    }
-    let input_bytes = profile.input_bytes(start);
-    let tmp = weights + input_bytes;
-    if tmp > u64::from(quotas.tmp_limit_mb) * MB {
-        return Err(EvalError::Invoke("tmp exceeded".into()));
-    }
-    let resident = 2 * weights + profile.activations(start, end) + input_bytes;
-    let footprint_mb = perf.runtime_footprint_mb + resident as f64 / MB as f64;
-    let lp = LambdaPerf::new(perf, memory_mb);
-    if lp.is_oom(footprint_mb) {
-        return Err(EvalError::Invoke("out of memory".into()));
-    }
-
-    let mut b = DurationBreakdown {
-        cold_s: lp.cold_start(package),
-        import_s: lp.cpu_time(lp.import_work(), footprint_mb),
-        load_s: lp.cpu_time(lp.load_work(weights), footprint_mb),
-        compute_s: lp.cpu_time(lp.compute_work(profile.flops(start, end)), footprint_mb),
-        transfer_s: 0.0,
-        fixed_s: perf.fixed_overhead_s,
+    let (input, output);
+    let reads: &[u64] = if is_first {
+        &[]
+    } else {
+        input = [profile.input_bytes(start)];
+        &input
     };
-    let mut fees = 0.0;
-    let xfer = |bytes: u64| bytes as f64 / (store.bandwidth_mbps * 1e6) + store.request_latency_s;
-    if !is_first {
-        b.transfer_s += xfer(input_bytes);
-        if store.billed_requests {
-            fees += prices.s3_get_request;
-        }
-    }
-    if !is_last {
-        b.transfer_s += xfer(profile.output_bytes(end));
-        if store.billed_requests {
-            fees += prices.s3_put_request;
-        }
-    }
-    let duration = b.total();
-    if duration > quotas.timeout_s {
-        return Err(EvalError::Invoke("timeout".into()));
-    }
-    let dollars = prices.lambda_compute_cost(duration, memory_mb) + prices.lambda_request + fees;
-    Ok(SegmentEval {
-        duration_s: duration,
-        dollars,
-        breakdown: b,
-    })
+    let writes: &[u64] = if is_last {
+        &[]
+    } else {
+        output = [profile.output_bytes(end)];
+        &output
+    };
+    quick_eval_node(
+        profile, start, end, memory_mb, quotas, prices, perf, store, reads, writes,
+    )
 }
 
-/// Closed-form evaluation of one *DAG partition node*: the same
-/// arithmetic as [`quick_eval`], but with explicit storage objects
-/// instead of the chain's implicit one-in/one-out wiring — `read_bytes`
+/// Closed-form evaluation of one *DAG partition node*: the platform's
+/// arithmetic with explicit storage objects — [`quick_eval`] is its
+/// one-in/one-out chain case — `read_bytes`
 /// carries one entry per input object (one GET + fee each), `write_bytes`
 /// one per output object (one PUT + fee each). A scatter consumer reads
 /// its branch input as one object; a gather node reads one object per
@@ -367,6 +333,10 @@ pub fn quick_eval(
 /// For a chain-shaped node list this is bit-equal to [`quick_eval`]:
 /// `tests::quick_eval_node_matches_quick_eval_on_chain` pins it.
 #[allow(clippy::too_many_arguments)]
+// Always inlined: `quick_eval`, the planner's hottest call, is this
+// function's chain case, and as a plain call it is slower than the same
+// arithmetic written out for the chain.
+#[inline(always)]
 pub fn quick_eval_node(
     profile: &Profile,
     start: usize,

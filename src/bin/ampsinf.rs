@@ -194,8 +194,8 @@ const FLAGS: &[Flag] = &[
     flag("--slo", "<seconds>", Positive, PLAN | SERVE, "response-time SLO"),
     flag("--batch", "<n>", COUNT, PLAN | SERVE, "optimize for n-image batches"),
     flag("--tolerance", "<f>", NonNegative, PLANNERS, "cost tolerance spent on speed (default 0.1)"),
-    flag("--threads", "<n>", Int(0, u64::MAX), PLANNERS,
-        "optimizer threads, and serving workers in load mode (0 = auto)"),
+    flag("--threads", "<n>", Int(0, 256), PLANNERS,
+        "optimizer threads, and serving workers in load mode (0 = auto, at most 256)"),
     switch("--quota-2021", PLANNERS, "10,240 MB / 1 MB-step quota preset"),
     switch("--dag", PLANNERS,
         "branch-parallel plans: fork/join regions fan out into concurrent nodes when that beats the chain"),

@@ -271,6 +271,18 @@ fn out_of_range_values_are_rejected_before_they_reach_the_library() {
             "sweep mobilenet --slo-from 2 --slo-to 20 --points 0",
             "--points",
         ),
+        ("plan mobilenet --threads 257", "--threads"),
+        ("plan mobilenet --threads 100000", "--threads"),
+        (
+            "sweep mobilenet --slo-from 2 --slo-to 20 --points 4 --threads 257",
+            "--threads",
+        ),
+        (
+            "sweep mobilenet --slo-from 2 --slo-to 20 --points 4 --threads 100000",
+            "--threads",
+        ),
+        ("serve mobilenet --threads 257", "--threads"),
+        ("serve mobilenet --threads 100000", "--threads"),
     ]);
 }
 
