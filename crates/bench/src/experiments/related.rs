@@ -2,10 +2,10 @@
 //! (10-image parallel batches vs SageMaker), Fig. 13 (BATCH).
 
 use crate::Table;
-use ampsinf_core::{AmpsConfig, Coordinator, Optimizer};
-use ampsinf_model::zoo;
+use ampsinf_core::{AmpsConfig, Coordinator, DagDeployment, ExecutionPlan, Optimizer};
+use ampsinf_faas::Platform;
+use ampsinf_model::{zoo, LayerGraph};
 use ampsinf_serving::batch_baseline::run_batch_baseline;
-use ampsinf_serving::batched::run_batched_plan;
 use ampsinf_serving::sagemaker::{run_sagemaker, SageConfig, SageSetting};
 use ampsinf_serving::serfer::run_serfer;
 
@@ -108,13 +108,9 @@ pub fn fig13() -> Table {
         "BATCH",
         &[batch.completion_s, batch.dollars, 276.84, 0.0095],
     );
-    let seq = run_batched_plan(&g, &plan, &cfg, 10, 10, false).unwrap();
-    t.row_all(
-        "AMPS-Inf-Seq",
-        &[seq.completion_s, seq.dollars, 231.36, 0.0043],
-    );
-    let par = run_batched_plan(&g, &plan, &cfg, 10, 10, true).unwrap();
-    t.row_all("AMPS-Inf", &[par.completion_s, par.dollars, 42.61, 0.0042]);
+    let [seq, _, par] = batch_modes(&g, &plan, &cfg, 10);
+    t.row_all("AMPS-Inf-Seq", &[seq.0, seq.1, 231.36, 0.0043]);
+    t.row_all("AMPS-Inf", &[par.0, par.1, 42.61, 0.0042]);
     t.notes = "Shape: AMPS-Inf-Seq beats BATCH on both axes under the same sequential \
                batching policy (warm chain vs lambda-per-batch); parallel invocation then \
                collapses completion time by ~7×, still cheaper than BATCH. Deviation: our \
@@ -122,6 +118,39 @@ pub fn fig13() -> Table {
                near-equal cost."
         .into();
     t
+}
+
+/// `(completion_s, dollars)` of `requests` requests of `plan` (planned at
+/// `cfg`'s batch) served sequentially, through depth-1 pipeline stations,
+/// and in parallel — each on a fresh deployment at `cfg`, with storage
+/// settled at completion.
+pub(crate) fn batch_modes(
+    g: &LayerGraph,
+    plan: &ExecutionPlan,
+    cfg: &AmpsConfig,
+    requests: usize,
+) -> [(f64, f64); 3] {
+    let coord = Coordinator::new(cfg.clone());
+    let run = |serve: &dyn Fn(&mut Platform, &DagDeployment) -> (f64, f64)| {
+        let mut platform = coord.platform();
+        let dep = coord.deploy(&mut platform, g, plan).unwrap();
+        let (completion, dollars) = serve(&mut platform, &dep);
+        (completion, dollars + platform.settle_storage(completion))
+    };
+    [
+        run(&|p, d| {
+            let b = coord.serve_sequential(p, d, requests, 0.0);
+            (b.completion_s, b.dollars)
+        }),
+        run(&|p, d| {
+            let r = coord.serve_pipelined(p, d, requests, 0.0);
+            (r.completion_s, r.dollars)
+        }),
+        run(&|p, d| {
+            let b = coord.serve_parallel(p, d, requests, 0.0);
+            (b.completion_s, b.dollars)
+        }),
+    ]
 }
 
 #[cfg(test)]

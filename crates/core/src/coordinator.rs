@@ -24,7 +24,7 @@
 //! alone — workers only race for *which lane advances next*.
 
 use crate::config::AmpsConfig;
-use crate::plan::{DagPlan, ExecutionPlan};
+use crate::plan::{DagPlan, EffectivePlan, ExecutionPlan};
 use ampsinf_faas::platform::{
     DeployError, FailedInvocation, FunctionId, InvocationWork, InvokeError, Platform,
 };
@@ -152,16 +152,6 @@ impl BatchReport {
     }
 }
 
-/// Per-node invocation scalars of a deployed DAG node, precomputed at
-/// deploy time so the serving hot path only patches storage keys.
-#[derive(Debug, Clone, Copy)]
-struct DagNodeWork {
-    load_bytes: u64,
-    flops: u64,
-    resident_bytes: u64,
-    tmp_bytes: u64,
-}
-
 /// A deployed DAG of partition lambdas ([`Coordinator::deploy_dag`], or
 /// [`Coordinator::deploy`] for a chain, which is a width-1 DAG). Node `v`
 /// becomes ready when every object it reads has been written — fan-out
@@ -174,25 +164,19 @@ pub struct DagDeployment {
     pub functions: Vec<FunctionId>,
     /// Wall-clock deployment duration (uploads proceed in parallel).
     pub deploy_s: f64,
-    /// Per-node invocation scalars in node order.
-    scalars: Vec<DagNodeWork>,
-    /// CSR offsets into `reads_obj`/`read_producer`: node `v` reads the
-    /// entries in `reads_off[v]..reads_off[v + 1]`.
+    /// Each node's invocation as the batch law
+    /// ([`PartitionWork::batched`]) builds it at
+    /// [`AmpsConfig::batch_size`], with object `o`'s key standing in as
+    /// [`ObjectKey::placeholder`]`(o)` until a request re-keys it.
+    works: Vec<InvocationWork>,
+    /// CSR offsets into `read_producer`: node `v` reads the entries in
+    /// `reads_off[v]..reads_off[v + 1]`, parallel to its template's
+    /// reads.
     reads_off: Vec<u32>,
-    /// Object index of every read, node-major, in object order within a
-    /// node — the per-request invocation template the hot path patches
-    /// keys into.
-    reads_obj: Vec<u32>,
-    /// Producer node of the matching `reads_obj` entry, so the ready-time
+    /// Producer node of every read, node-major, so the ready-time
     /// recurrence folds over one flat slice with no per-object
     /// indirection.
     read_producer: Vec<u32>,
-    /// CSR offsets into `writes`: node `v` writes the entries in
-    /// `writes_off[v]..writes_off[v + 1]`.
-    writes_off: Vec<u32>,
-    /// `(object index, bytes)` of every write, node-major, in object
-    /// order within a node.
-    writes: Vec<(u32, u64)>,
     /// Number of inter-node storage objects.
     num_objects: usize,
 }
@@ -203,23 +187,10 @@ impl DagDeployment {
         self.num_objects
     }
 
-    /// Object indices node `v` reads, in object order.
-    #[inline]
-    fn reads_of(&self, v: usize) -> &[u32] {
-        &self.reads_obj[self.reads_off[v] as usize..self.reads_off[v + 1] as usize]
-    }
-
-    /// Producer nodes of the objects node `v` reads (parallel to
-    /// [`reads_of`](Self::reads_of)).
+    /// Producer nodes of the objects node `v` reads, in object order.
     #[inline]
     fn producers_of(&self, v: usize) -> &[u32] {
         &self.read_producer[self.reads_off[v] as usize..self.reads_off[v + 1] as usize]
-    }
-
-    /// `(object, bytes)` pairs node `v` writes, in object order.
-    #[inline]
-    fn writes_of(&self, v: usize) -> &[(u32, u64)] {
-        &self.writes[self.writes_off[v] as usize..self.writes_off[v + 1] as usize]
     }
 }
 
@@ -337,22 +308,21 @@ impl DagServeScratch {
         }
     }
 
-    /// Refills every node's work profile from the deployment's scalars
-    /// and per-object keys produced by `key_of`.
+    /// Refills every node's work profile from the deployment's templates,
+    /// keying object `o` as `key_of(o)`.
     fn fill_works(&mut self, dep: &DagDeployment, key_of: impl Fn(u32) -> ObjectKey) {
-        for (v, w) in self.works.iter_mut().enumerate() {
-            let s = dep.scalars[v];
-            w.load_bytes = s.load_bytes;
-            w.flops = s.flops;
-            w.resident_bytes = s.resident_bytes;
-            w.tmp_bytes = s.tmp_bytes;
+        for (w, t) in self.works.iter_mut().zip(&dep.works) {
+            w.load_bytes = t.load_bytes;
+            w.flops = t.flops;
+            w.resident_bytes = t.resident_bytes;
+            w.tmp_bytes = t.tmp_bytes;
             w.reads.clear();
-            w.reads.extend(dep.reads_of(v).iter().map(|&o| key_of(o)));
+            w.reads.extend(t.reads.iter().map(|o| key_of(o.index())));
             w.writes.clear();
             w.writes.extend(
-                dep.writes_of(v)
+                t.writes
                     .iter()
-                    .map(|&(o, bytes)| (key_of(o), bytes)),
+                    .map(|&(o, bytes)| (key_of(o.index()), bytes)),
             );
         }
     }
@@ -406,12 +376,12 @@ impl DagServeScratch {
         }
         // The wiring is fixed per plan: every read/write slot position is
         // the same for every request, so only the keys change.
-        for (v, w) in self.works.iter_mut().enumerate() {
-            for (slot, &o) in dep.reads_of(v).iter().enumerate() {
-                w.reads[slot] = base.offset(o);
+        for (w, t) in self.works.iter_mut().zip(&dep.works) {
+            for (key, o) in w.reads.iter_mut().zip(&t.reads) {
+                *key = base.offset(o.index());
             }
-            for (slot, &(o, _)) in dep.writes_of(v).iter().enumerate() {
-                w.writes[slot].0 = base.offset(o);
+            for ((key, _), (o, _)) in w.writes.iter_mut().zip(&t.writes) {
+                *key = base.offset(o.index());
             }
         }
     }
@@ -616,7 +586,9 @@ impl Coordinator {
     /// Packages and deploys every partition of a chain `plan` as the
     /// width-1 DAG [`DagPlan::from_chain`] builds: partition `i` becomes
     /// node `i` and boundary `i` becomes object `i`, sized by
-    /// [`LayerGraph::cut_transfer_bytes`] (skip tensors included).
+    /// [`LayerGraph::cut_transfer_bytes`] (skip tensors included) times
+    /// [`AmpsConfig::batch_size`]. This is the one chain-to-DAG
+    /// conversion on the serving side.
     pub fn deploy(
         &self,
         platform: &mut Platform,
@@ -625,8 +597,24 @@ impl Coordinator {
     ) -> Result<DagDeployment, DeployError> {
         plan.validate(graph.num_layers())
             .expect("structurally valid plan");
-        let dag = DagPlan::from_chain(plan, |k| graph.cut_transfer_bytes(k));
+        let batch = self.cfg.batch_size;
+        let dag = DagPlan::from_chain(plan, |k| graph.cut_transfer_bytes(k) * batch);
         self.deploy_dag(platform, graph, &dag)
+    }
+
+    /// Deploys an [`EffectivePlan`]: a chain through
+    /// [`deploy`](Self::deploy), a DAG through
+    /// [`deploy_dag`](Self::deploy_dag).
+    pub fn deploy_effective(
+        &self,
+        platform: &mut Platform,
+        graph: &LayerGraph,
+        plan: &EffectivePlan,
+    ) -> Result<DagDeployment, DeployError> {
+        match plan {
+            EffectivePlan::Chain(chain) => self.deploy(platform, graph, chain),
+            EffectivePlan::Dag(dag) => self.deploy_dag(platform, graph, dag),
+        }
     }
 
     /// Packages and deploys every node of a branch-parallel DAG `plan`.
@@ -635,9 +623,11 @@ impl Coordinator {
     /// [`DagObject`](crate::plan::DagObject) becomes one storage object
     /// per request, uploaded once by its producer and downloaded once per
     /// consumer — the scatter/gather request fees and lifetime-billed
-    /// bytes ride on exactly those transfers. The staged input that feeds
-    /// a node's `/tmp` and resident footprint is the sum of the objects it
-    /// reads (the root's image arrives with the trigger, as in the chain).
+    /// bytes ride on exactly those transfers. Every node's invocation is
+    /// the batch law ([`PartitionWork::batched`]) at
+    /// [`AmpsConfig::batch_size`] over the objects it reads and writes —
+    /// the work the planner priced, so `plan` must have been planned at
+    /// that batch.
     pub fn deploy_dag(
         &self,
         platform: &mut Platform,
@@ -648,15 +638,11 @@ impl Coordinator {
             .expect("structurally valid plan");
         let n = plan.nodes.len();
         let mut functions = Vec::with_capacity(n);
-        let mut scalars = Vec::with_capacity(n);
-        let mut reads_off = Vec::with_capacity(n + 1);
-        let mut reads_obj = Vec::new();
+        let mut works = Vec::with_capacity(n);
+        let mut reads_off = vec![0u32];
         let mut read_producer = Vec::new();
-        let mut writes_off = Vec::with_capacity(n + 1);
-        let mut writes = Vec::new();
-        reads_off.push(0u32);
-        writes_off.push(0u32);
         let mut deploy_s = 0.0f64;
+        let object = |o: usize| (ObjectKey::placeholder(o as u32), plan.objects[o].bytes);
         for (v, node) in plan.nodes.iter().enumerate() {
             let work = PartitionWork::from_segment(graph, node.start, node.end);
             let spec = work.function_spec(format!("{}-node{v}", plan.model), node.memory_mb);
@@ -664,36 +650,18 @@ impl Coordinator {
             functions.push(fid);
             deploy_s = deploy_s.max(d); // parallel uploads
             let reads = plan.inputs_of(v);
-            for &o in &reads {
-                reads_obj.push(o as u32);
-                read_producer.push(plan.objects[o].producer as u32);
-            }
-            reads_off.push(reads_obj.len() as u32);
-            for o in plan.outputs_of(v) {
-                writes.push((o as u32, plan.objects[o].bytes));
-            }
-            writes_off.push(writes.len() as u32);
-            let input_bytes = if reads.is_empty() {
-                work.seg.input_bytes
-            } else {
-                reads.iter().map(|&o| plan.objects[o].bytes).sum()
-            };
-            scalars.push(DagNodeWork {
-                load_bytes: work.seg.weight_bytes,
-                flops: work.seg.flops,
-                resident_bytes: 2 * work.seg.weight_bytes + work.seg.activation_bytes + input_bytes,
-                tmp_bytes: work.seg.weight_bytes + input_bytes,
-            });
+            read_producer.extend(reads.iter().map(|&o| plan.objects[o].producer as u32));
+            reads_off.push(read_producer.len() as u32);
+            let reads: Vec<_> = reads.into_iter().map(object).collect();
+            let writes: Vec<_> = plan.outputs_of(v).into_iter().map(object).collect();
+            works.push(work.batched(self.cfg.batch_size, &reads, &writes));
         }
         Ok(DagDeployment {
             functions,
             deploy_s,
-            scalars,
+            works,
             reads_off,
-            reads_obj,
             read_producer,
-            writes_off,
-            writes,
             num_objects: plan.objects.len(),
         })
     }
@@ -1507,36 +1475,91 @@ mod tests {
         (Coordinator::new(cfg), plan)
     }
 
+    /// Batches every served-equals-planned case runs at.
+    const BATCHES: [u64; 3] = [1, 8, 64];
+
+    /// Serves one lone cold request of `dep` under `coord` and checks it
+    /// reproduces `plan`'s predicted time and cost to 1e-9 relative.
+    fn assert_serves_as_planned(
+        case: &str,
+        coord: &Coordinator,
+        platform: &mut Platform,
+        dep: &DagDeployment,
+        predicted: (f64, f64),
+    ) -> JobReport {
+        let report = coord.serve_one_dag(platform, dep, 0.0, "req0").unwrap();
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs();
+        assert!(
+            close(report.inference_s, predicted.0),
+            "{case}: measured {}s vs predicted {}s",
+            report.inference_s,
+            predicted.0
+        );
+        assert!(
+            close(report.dollars, predicted.1),
+            "{case}: measured ${} vs predicted ${}",
+            report.dollars,
+            predicted.1
+        );
+        // Clean run: nothing retried, nothing wasted.
+        assert!(report.retries.is_empty());
+        assert_eq!(report.wasted_s, 0.0);
+        assert_eq!(report.wasted_dollars, 0.0);
+        report
+    }
+
     #[test]
     fn serve_one_matches_prediction() {
-        // The optimizer's predicted (time, cost) must equal the platform's
-        // measured cold-chain behaviour: prediction IS simulation.
-        for g in [zoo::mobilenet_v1(), zoo::resnet50()] {
-            let (coord, plan) = optimized(&g);
-            let mut platform = coord.platform();
-            let dep = coord.deploy(&mut platform, &g, &plan).unwrap();
-            let report = coord
-                .serve_one_dag(&mut platform, &dep, 0.0, "req0")
-                .unwrap();
-            assert!(
-                (report.inference_s - plan.predicted_time_s).abs() < 1e-6,
-                "{}: measured {} vs predicted {}",
-                g.name,
-                report.inference_s,
-                plan.predicted_time_s
-            );
-            assert!(
-                (report.dollars - plan.predicted_cost).abs() < 1e-9,
-                "{}: measured {} vs predicted {}",
-                g.name,
-                report.dollars,
-                plan.predicted_cost
-            );
-            // Clean run: nothing retried, nothing wasted.
-            assert!(report.retries.is_empty());
-            assert_eq!(report.wasted_s, 0.0);
-            assert_eq!(report.wasted_dollars, 0.0);
+        // Every planner's predicted (time, cost) must equal the platform's
+        // measured cold behaviour at the batch it planned for: prediction
+        // IS simulation. `optimize_dag` contributes its branch plan where
+        // one beats the chain (Inception-v3 at batch 64). The baselines
+        // b1–b4 price batch-1 work whatever the config says, so they run
+        // at batch 1 only.
+        use crate::baselines::{b1_random, b2_greedy_max, b3_optimal, b4_bucket_scan};
+        let mut served = Vec::new();
+        for batch in BATCHES {
+            for g in [zoo::mobilenet_v1(), zoo::resnet50(), zoo::inception_v3()] {
+                let cfg = AmpsConfig::default().with_batch(batch);
+                let opt = Optimizer::new(cfg.clone());
+                let grid = crate::sweep::SweepGrid::from_slos(vec![1e9]).with_batches(vec![batch]);
+                let pipelined = opt.optimize_pipelined(&g, &grid).points.remove(0);
+                let mut plans = vec![
+                    (
+                        "optimize",
+                        EffectivePlan::Chain(opt.optimize(&g).unwrap().plan),
+                    ),
+                    (
+                        "optimize_pipelined",
+                        EffectivePlan::Chain(pipelined.outcome.unwrap().plan),
+                    ),
+                ];
+                if let Some(dag) = opt.optimize_dag(&g).unwrap().dag {
+                    plans.push(("optimize_dag", EffectivePlan::Dag(dag)));
+                }
+                if batch == 1 {
+                    plans.extend([
+                        ("b1", EffectivePlan::Chain(b1_random(&g, &cfg, 7).unwrap())),
+                        ("b2", EffectivePlan::Chain(b2_greedy_max(&g, &cfg).unwrap())),
+                        ("b3", EffectivePlan::Chain(b3_optimal(&g, &cfg).unwrap())),
+                        (
+                            "b4",
+                            EffectivePlan::Chain(b4_bucket_scan(&g, &cfg, 3).unwrap()),
+                        ),
+                    ]);
+                }
+                let coord = Coordinator::new(cfg);
+                for (planner, plan) in plans {
+                    let mut platform = coord.platform();
+                    let dep = coord.deploy_effective(&mut platform, &g, &plan).unwrap();
+                    let case = format!("{}/b{batch}/{planner}", g.name);
+                    let predicted = (plan.predicted_time_s(), plan.predicted_cost());
+                    assert_serves_as_planned(&case, &coord, &mut platform, &dep, predicted);
+                    served.push(case);
+                }
+            }
         }
+        assert!(served.contains(&"inception_v3/b64/optimize_dag".to_string()));
     }
 
     #[test]
@@ -1752,17 +1775,17 @@ mod tests {
             DagObject {
                 producer: 0,
                 consumers: vec![1, 2],
-                bytes: g.cut_transfer_bytes(r.entry),
+                bytes: g.cut_transfer_bytes(r.entry) * cfg.batch_size,
             },
             DagObject {
                 producer: 1,
                 consumers: vec![3],
-                bytes: g.span_io_bytes(r.branches[0].0, r.branches[0].1).1,
+                bytes: g.span_io_bytes(r.branches[0].0, r.branches[0].1).1 * cfg.batch_size,
             },
             DagObject {
                 producer: 2,
                 consumers: vec![3],
-                bytes: g.span_io_bytes(r.branches[1].0, r.branches[1].1).1,
+                bytes: g.span_io_bytes(r.branches[1].0, r.branches[1].1).1 * cfg.batch_size,
             },
         ];
         let mut plan = DagPlan {
@@ -1774,7 +1797,7 @@ mod tests {
         };
         plan.validate(n).unwrap();
         assert!(crate::baselines::predict_dag(
-            &ampsinf_profiler::Profile::of(g),
+            &ampsinf_profiler::Profile::batched(g, cfg.batch_size),
             &mut plan,
             cfg
         ));
@@ -1788,43 +1811,31 @@ mod tests {
         // platform's measured cold behaviour, scatter/gather fees
         // included — prediction IS simulation on branches too.
         let g = zoo::branchy_cnn();
-        let cfg = AmpsConfig::default();
-        let plan = branchy_dag(&g, &cfg);
-        assert_eq!(plan.width(), 2);
-        let coord = Coordinator::new(cfg);
-        let mut platform = coord.platform();
-        let dep = coord.deploy_dag(&mut platform, &g, &plan).unwrap();
-        let report = coord
-            .serve_one_dag(&mut platform, &dep, 0.0, "req0")
-            .unwrap();
-        assert!(
-            (report.inference_s - plan.predicted_time_s).abs() < 1e-6,
-            "measured {} vs predicted {}",
-            report.inference_s,
-            plan.predicted_time_s
-        );
-        assert!(
-            (report.dollars - plan.predicted_cost).abs() < 1e-9,
-            "measured {} vs predicted {}",
-            report.dollars,
-            plan.predicted_cost
-        );
-        // Branches overlap: the critical path is shorter than the sum of
-        // node durations, and every node still bills.
-        let sum_s: f64 = report
-            .outcomes
-            .iter()
-            .map(InvocationOutcome::duration)
-            .sum();
-        assert_eq!(report.outcomes.len(), 4);
-        assert!(report.inference_s < sum_s - 1e-9);
-        // All three objects (scatter + two gathers) were checkpointed.
-        for o in 0..3 {
-            assert!(platform.store.size_of(&format!("req0/b{o}")).is_some());
+        for batch in BATCHES {
+            let cfg = AmpsConfig::default().with_batch(batch);
+            let plan = branchy_dag(&g, &cfg);
+            assert_eq!(plan.width(), 2);
+            let coord = Coordinator::new(cfg);
+            let mut platform = coord.platform();
+            let dep = coord.deploy_dag(&mut platform, &g, &plan).unwrap();
+            let predicted = (plan.predicted_time_s, plan.predicted_cost);
+            let case = format!("branchy/b{batch}");
+            let report = assert_serves_as_planned(&case, &coord, &mut platform, &dep, predicted);
+            // Branches overlap: the critical path is shorter than the sum
+            // of node durations, and every node still bills.
+            let sum_s: f64 = report
+                .outcomes
+                .iter()
+                .map(InvocationOutcome::duration)
+                .sum();
+            assert_eq!(report.outcomes.len(), 4);
+            assert!(report.inference_s < sum_s - 1e-9);
+            // All three objects (scatter + two gathers) were checkpointed.
+            for o in 0..3 {
+                assert!(platform.store.size_of(&format!("req0/b{o}")).is_some());
+            }
+            assert!(platform.settle_storage(1000.0) > 0.0);
         }
-        assert!(platform.settle_storage(1000.0) > 0.0);
-        assert!(report.retries.is_empty());
-        assert_eq!(report.wasted_s, 0.0);
     }
 
     #[test]

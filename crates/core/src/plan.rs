@@ -494,8 +494,8 @@ impl std::fmt::Display for DagPlan {
 /// under the twin objectives, otherwise the chain [`ExecutionPlan`]
 /// incumbent. [`crate::PlanCache`] stores these so an adaptive DAG
 /// serving loop can hold chain and DAG tiers side by side and deploy
-/// either through the one serving engine (chains via
-/// [`DagPlan::from_chain`]).
+/// either through the one serving engine
+/// ([`crate::Coordinator::deploy_effective`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum EffectivePlan {
     /// The chain incumbent stands at this point.
@@ -526,17 +526,6 @@ impl EffectivePlan {
         match self {
             EffectivePlan::Chain(p) => p.num_lambdas(),
             EffectivePlan::Dag(p) => p.num_lambdas(),
-        }
-    }
-
-    /// The plan as a [`DagPlan`] ready for `deploy_dag`: DAGs pass
-    /// through, chains wrap via [`DagPlan::from_chain`] with
-    /// `boundary_bytes` supplying each cut's transfer size (typically
-    /// `|k| graph.cut_transfer_bytes(k)`).
-    pub fn to_dag(&self, boundary_bytes: impl Fn(usize) -> u64) -> DagPlan {
-        match self {
-            EffectivePlan::Chain(p) => DagPlan::from_chain(p, boundary_bytes),
-            EffectivePlan::Dag(p) => p.clone(),
         }
     }
 }

@@ -442,10 +442,10 @@ fn auto_thread_default_matches_explicit_counts() {
 // so the merged report cannot depend on the thread count.
 // ---------------------------------------------------------------------
 
-/// The optimizer's real branch-parallel plan for Inception-v3: planned at
+/// The optimizer's real branch-parallel plan for Inception-v3, planned at
 /// batch 64 (where branch concurrency beats the chain at equal SLO and
-/// equal cost), then served on the unbatched request stream like every
-/// other plan.
+/// equal cost), and the config that planned it — each request is a
+/// batch of 64 images, the work the plan priced.
 fn dag_plan_cfg() -> (ampsinf_model::LayerGraph, DagPlan, AmpsConfig) {
     let g = zoo::inception_v3();
     let base = AmpsConfig {
@@ -453,14 +453,13 @@ fn dag_plan_cfg() -> (ampsinf_model::LayerGraph, DagPlan, AmpsConfig) {
         ..Default::default()
     };
     let free = Optimizer::new(base.clone()).optimize(&g).unwrap();
-    let report = Optimizer::new(AmpsConfig {
+    let cfg = AmpsConfig {
         slo_s: Some(free.plan.predicted_time_s),
         ..base
-    })
-    .optimize_dag(&g)
-    .unwrap();
+    };
+    let report = Optimizer::new(cfg.clone()).optimize_dag(&g).unwrap();
     let dag = report.dag.expect("DAG plan must win at batch 64");
-    (g, dag, AmpsConfig::default())
+    (g, dag, cfg)
 }
 
 fn run_trace_dag(

@@ -683,11 +683,6 @@ impl Platform {
         (idle_total, dollars)
     }
 
-    /// Deployed function count.
-    pub fn num_functions(&self) -> usize {
-        self.functions.len()
-    }
-
     /// The spec of a deployed function.
     pub fn spec(&self, id: FunctionId) -> Option<&FunctionSpec> {
         self.functions.get(id.0).map(|f| &f.spec)

@@ -75,38 +75,56 @@ impl PartitionWork {
         }
     }
 
-    /// Resident footprint beyond the runtime: weights twice (file +
-    /// in-memory graph) plus materialized activations plus staged input.
-    pub fn resident_bytes(&self) -> u64 {
-        2 * self.seg.weight_bytes + self.seg.activation_bytes + self.seg.input_bytes
-    }
-
-    /// `/tmp` usage: weight files plus the previous partition's output
-    /// staged as a file (paper constraint (5) LHS: `y·z + p_{i-1}`).
-    pub fn tmp_bytes(&self) -> u64 {
-        self.seg.weight_bytes + self.seg.input_bytes
-    }
-
-    /// Invocation work, wiring the storage keys: reads `input_key` (None
-    /// for the first partition, whose image arrives with the trigger) and
-    /// writes `output_key` (None for the last partition, which returns the
-    /// prediction in the response). Keys are interned storage ids — see
-    /// [`crate::storage::ObjectStore::intern`].
+    /// Batch-1 invocation work, wiring the storage keys: reads
+    /// `input_key` (None for the first partition, whose image arrives
+    /// with the trigger) and writes `output_key` (None for the last
+    /// partition, which returns the prediction in the response), each
+    /// object sized by the segment's boundary. Keys are interned storage
+    /// ids — see [`crate::storage::ObjectStore::intern`].
     pub fn invocation(
         &self,
         input_key: Option<ObjectKey>,
         output_key: Option<ObjectKey>,
     ) -> InvocationWork {
+        let reads: Vec<_> = input_key
+            .map(|k| (k, self.seg.input_bytes))
+            .into_iter()
+            .collect();
+        let writes: Vec<_> = output_key
+            .map(|k| (k, self.seg.output_bytes))
+            .into_iter()
+            .collect();
+        self.batched(1, &reads, &writes)
+    }
+
+    /// The batch law: the invocation a batch of `batch` images puts on
+    /// this partition when it reads the objects `reads` and writes the
+    /// objects `writes` (`(key, bytes)` each, sized for the batch). FLOPs
+    /// and activations scale with the batch; weights do not. The staged
+    /// input — the `/tmp` file and resident copy of what the partition
+    /// consumes (paper constraints (5) and (7)) — is the sum of the reads,
+    /// or the batched model input for a partition whose image arrives
+    /// with the trigger. This is the platform-side twin of
+    /// `ampsinf_profiler::quick_eval_node` over `Profile::batched`.
+    pub fn batched(
+        &self,
+        batch: u64,
+        reads: &[(ObjectKey, u64)],
+        writes: &[(ObjectKey, u64)],
+    ) -> InvocationWork {
+        let seg = &self.seg;
+        let staged = if reads.is_empty() {
+            seg.input_bytes * batch
+        } else {
+            reads.iter().map(|&(_, bytes)| bytes).sum()
+        };
         InvocationWork {
-            load_bytes: self.seg.weight_bytes,
-            flops: self.seg.flops,
-            resident_bytes: self.resident_bytes(),
-            tmp_bytes: self.tmp_bytes(),
-            reads: input_key.into_iter().collect(),
-            writes: output_key
-                .map(|k| (k, self.seg.output_bytes))
-                .into_iter()
-                .collect(),
+            load_bytes: seg.weight_bytes,
+            flops: seg.flops * batch,
+            resident_bytes: 2 * seg.weight_bytes + seg.activation_bytes * batch + staged,
+            tmp_bytes: seg.weight_bytes + staged,
+            reads: reads.iter().map(|&(key, _)| key).collect(),
+            writes: writes.to_vec(),
         }
     }
 }
@@ -269,11 +287,43 @@ mod tests {
     }
 
     #[test]
+    fn batch_law_scales_compute_and_tensors_not_weights() {
+        let g = zoo::mobilenet_v1();
+        let p = PartitionWork::from_segment(&g, 10, 40);
+        let mut store = crate::storage::ObjectStore::new(crate::storage::StoreKind::s3());
+        let (i, o) = (store.intern("in"), store.intern("out"));
+        let (input, output) = (p.seg.input_bytes, p.seg.output_bytes);
+        let one = p.batched(1, &[(i, input)], &[(o, output)]);
+        assert_eq!(one, p.invocation(Some(i), Some(o)));
+        let b = 8;
+        let eight = p.batched(b, &[(i, input * b)], &[(o, output * b)]);
+        assert_eq!(eight.load_bytes, one.load_bytes);
+        assert_eq!(eight.flops, b * one.flops);
+        assert_eq!(eight.tmp_bytes, p.seg.weight_bytes + b * input);
+        assert_eq!(
+            eight.resident_bytes,
+            2 * p.seg.weight_bytes + b * (p.seg.activation_bytes + input)
+        );
+        assert_eq!(eight.writes, vec![(o, output * b)]);
+        // A root's image arrives with the trigger: the staged input is the
+        // batched model input.
+        let root = PartitionWork::from_segment(&g, 0, 40);
+        let w = root.batched(b, &[], &[]);
+        assert_eq!(
+            w.tmp_bytes,
+            root.seg.weight_bytes + b * root.seg.input_bytes
+        );
+    }
+
+    #[test]
     fn tmp_accounting_follows_constraint5() {
         let g = zoo::resnet50();
         let parts = PartitionWork::chain(&g, &[80, g.num_layers() - 1]);
+        let mut store = crate::storage::ObjectStore::new(crate::storage::StoreKind::s3());
+        let key = store.intern("inter/0");
         for p in &parts {
-            assert_eq!(p.tmp_bytes(), p.seg.weight_bytes + p.seg.input_bytes);
+            let w = p.invocation(Some(key), None);
+            assert_eq!(w.tmp_bytes, p.seg.weight_bytes + p.seg.input_bytes);
         }
     }
 

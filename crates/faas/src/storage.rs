@@ -110,6 +110,13 @@ impl ObjectKey {
         self.0
     }
 
+    /// Key `i` of a block based at index 0: the stand-in for object `i`
+    /// in a deployment's invocation templates, which every request
+    /// re-keys into its own block (`base.offset(key.index())`).
+    pub fn placeholder(i: u32) -> ObjectKey {
+        ObjectKey(i)
+    }
+
     /// The key `i` slots after this one. Only meaningful inside a
     /// contiguous block handed out by [`ObjectStore::fresh_block`], whose
     /// keys are guaranteed consecutive — the DAG serving hot path derives

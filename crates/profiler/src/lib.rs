@@ -226,8 +226,10 @@ impl std::fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Runs layers `[start, end]` of `graph` at `memory_mb` on a scratch
-/// platform and reports the measured (duration, dollars).
+/// Runs layers `[start, end]` of `graph` for a batch of `batch` images at
+/// `memory_mb` on a scratch platform and reports the measured (duration,
+/// dollars) — the invocation is [`PartitionWork::batched`], the batch law
+/// every served invocation is built from.
 ///
 /// `is_first` / `is_last` control the storage wiring: a first partition
 /// receives its image with the trigger (no GET), a last partition returns
@@ -242,6 +244,7 @@ pub fn evaluate_segment(
     prices: &PriceSheet,
     perf: &PerfModel,
     store: StoreKind,
+    batch: u64,
     is_first: bool,
     is_last: bool,
 ) -> Result<SegmentEval, EvalError> {
@@ -252,25 +255,30 @@ pub fn evaluate_segment(
         .deploy(spec)
         .map_err(|e| EvalError::Deploy(e.to_string()))?;
 
-    let input_key = (!is_first).then(|| platform.store.intern("profile/in"));
-    let output_key = (!is_last).then(|| platform.store.intern("profile/out"));
-    if input_key.is_some() {
+    let input_bytes = work.seg.input_bytes * batch;
+    let reads: Vec<_> = (!is_first)
+        .then(|| (platform.store.intern("profile/in"), input_bytes))
+        .into_iter()
+        .collect();
+    let writes: Vec<_> = (!is_last)
+        .then(|| {
+            (
+                platform.store.intern("profile/out"),
+                work.seg.output_bytes * batch,
+            )
+        })
+        .into_iter()
+        .collect();
+    if !reads.is_empty() {
         // Stage the upstream tensor so the GET has something to read.
         let mut scratch = ampsinf_faas::CostLedger::new();
         platform
             .store
-            .put(
-                "profile/in",
-                work.seg.input_bytes,
-                0.0,
-                prices,
-                &mut scratch,
-            )
+            .put("profile/in", input_bytes, 0.0, prices, &mut scratch)
             .expect("staging put cannot fail on a non-flaky store");
     }
-    let invocation = work.invocation(input_key, output_key);
     let out = platform
-        .invoke(fid, 0.0, &invocation)
+        .invoke(fid, 0.0, &work.batched(batch, &reads, &writes))
         .map_err(|e| EvalError::Invoke(e.to_string()))?;
     Ok(SegmentEval {
         duration_s: out.duration(),
@@ -477,8 +485,20 @@ mod tests {
         let (q, pr, pe) = defaults();
         let g = zoo::mobilenet_v1();
         let n = g.num_layers();
-        let e512 =
-            evaluate_segment(&g, 0, n - 1, 512, &q, &pr, &pe, StoreKind::s3(), true, true).unwrap();
+        let e512 = evaluate_segment(
+            &g,
+            0,
+            n - 1,
+            512,
+            &q,
+            &pr,
+            &pe,
+            StoreKind::s3(),
+            1,
+            true,
+            true,
+        )
+        .unwrap();
         let e1024 = evaluate_segment(
             &g,
             0,
@@ -488,6 +508,7 @@ mod tests {
             &pr,
             &pe,
             StoreKind::s3(),
+            1,
             true,
             true,
         )
@@ -501,6 +522,7 @@ mod tests {
             &pr,
             &pe,
             StoreKind::s3(),
+            1,
             true,
             true,
         )
@@ -524,6 +546,7 @@ mod tests {
             &pr,
             &pe,
             StoreKind::s3(),
+            1,
             true,
             true,
         )
@@ -544,13 +567,26 @@ mod tests {
             &pr,
             &pe,
             StoreKind::s3(),
+            1,
             false,
             false,
         )
         .unwrap();
         assert!(mid.breakdown.transfer_s > 0.0);
-        let solo =
-            evaluate_segment(&g, 50, 100, 1024, &q, &pr, &pe, StoreKind::s3(), true, true).unwrap();
+        let solo = evaluate_segment(
+            &g,
+            50,
+            100,
+            1024,
+            &q,
+            &pr,
+            &pe,
+            StoreKind::s3(),
+            1,
+            true,
+            true,
+        )
+        .unwrap();
         assert!(solo.breakdown.transfer_s < mid.breakdown.transfer_s);
     }
 
@@ -605,45 +641,38 @@ mod tests {
 
     #[test]
     fn quick_eval_equals_platform() {
-        // The optimizer objective must equal simulator behaviour exactly.
+        // The optimizer objective must equal simulator behaviour exactly,
+        // at every batch the planner prices.
         let (q, pr, pe) = defaults();
-        for g in [zoo::mobilenet_v1(), zoo::resnet50()] {
-            let prof = Profile::of(&g);
-            let n = g.num_layers();
-            let cases = [
-                (0usize, n / 3, true, false),
-                (n / 3 + 1, 2 * n / 3, false, false),
-                (2 * n / 3 + 1, n - 1, false, true),
-            ];
-            for (s, e, first, last) in cases {
-                for mem in [512u32, 1024, 2048, 3008] {
-                    let quick = quick_eval(
-                        &prof,
-                        s,
-                        e,
-                        mem,
-                        &q,
-                        &pr,
-                        &pe,
-                        &StoreKind::s3(),
-                        first,
-                        last,
-                    );
-                    let full =
-                        evaluate_segment(&g, s, e, mem, &q, &pr, &pe, StoreKind::s3(), first, last);
-                    match (quick, full) {
-                        (Ok(a), Ok(b)) => {
-                            assert!(
-                                (a.duration_s - b.duration_s).abs() < 1e-9,
-                                "{} [{s},{e}]@{mem}: {} vs {}",
-                                g.name,
-                                a.duration_s,
-                                b.duration_s
-                            );
-                            assert!((a.dollars - b.dollars).abs() < 1e-12);
+        for batch in [1u64, 8, 64] {
+            for g in [zoo::mobilenet_v1(), zoo::resnet50(), zoo::inception_v3()] {
+                let prof = Profile::batched(&g, batch);
+                let n = g.num_layers();
+                let cases = [
+                    (0usize, n / 3, true, false),
+                    (n / 3 + 1, 2 * n / 3, false, false),
+                    (2 * n / 3 + 1, n - 1, false, true),
+                ];
+                for (s, e, first, last) in cases {
+                    for mem in [512u32, 1024, 2048, 3008] {
+                        let s3 = StoreKind::s3();
+                        let quick = quick_eval(&prof, s, e, mem, &q, &pr, &pe, &s3, first, last);
+                        let full =
+                            evaluate_segment(&g, s, e, mem, &q, &pr, &pe, s3, batch, first, last);
+                        let case = format!("{} b{batch} [{s},{e}]@{mem}", g.name);
+                        match (quick, full) {
+                            (Ok(a), Ok(b)) => {
+                                assert!(
+                                    (a.duration_s - b.duration_s).abs() < 1e-9,
+                                    "{case}: {} vs {}",
+                                    a.duration_s,
+                                    b.duration_s
+                                );
+                                assert!((a.dollars - b.dollars).abs() < 1e-12, "{case}");
+                            }
+                            (Err(_), Err(_)) => {}
+                            (a, b) => panic!("{case}: {a:?} vs {b:?}"),
                         }
-                        (Err(_), Err(_)) => {}
-                        (a, b) => panic!("{} [{s},{e}]@{mem}: {a:?} vs {b:?}", g.name),
                     }
                 }
             }
@@ -749,6 +778,7 @@ mod tests {
             &pr,
             &pe,
             StoreKind::s3(),
+            1,
             false,
             false,
         )
@@ -762,6 +792,7 @@ mod tests {
             &pr,
             &pe,
             StoreKind::fast_store(),
+            1,
             false,
             false,
         )

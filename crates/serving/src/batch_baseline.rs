@@ -5,7 +5,6 @@
 //! The paper's Fig. 13 setting: MobileNet, 100 images in 10 batches,
 //! 2,048 MB, sequential per-batch invocations.
 
-use crate::batched::batched_invocation;
 use ampsinf_core::AmpsConfig;
 use ampsinf_faas::platform::Platform;
 use ampsinf_faas::runtime::{whole_model, PartitionWork};
@@ -41,7 +40,7 @@ pub fn run_batch_baseline(
     for b in 0..num_batches {
         let spec = work.function_spec(format!("batch-{}-{b}", graph.name), memory_mb);
         let (fid, _deploy) = platform.deploy(spec).map_err(|e| e.to_string())?;
-        let inv = batched_invocation(&work, batch, None, None);
+        let inv = work.batched(batch, &[], &[]);
         let out = platform.invoke(fid, now, &inv).map_err(|e| e.to_string())?;
         now = out.end;
         dollars += out.dollars;
@@ -56,8 +55,7 @@ pub fn run_batch_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batched::run_batched_plan;
-    use ampsinf_core::Optimizer;
+    use ampsinf_core::{Coordinator, Optimizer};
     use ampsinf_model::zoo;
 
     #[test]
@@ -81,12 +79,16 @@ mod tests {
         let cfg = AmpsConfig::default().with_batch(10);
         let batch = run_batch_baseline(&g, &cfg, 2048, 10, 10).unwrap();
         let plan = Optimizer::new(cfg.clone()).optimize(&g).unwrap().plan;
-        let seq = run_batched_plan(&g, &plan, &cfg, 10, 10, false).unwrap();
-        let par = run_batched_plan(&g, &plan, &cfg, 10, 10, true).unwrap();
+        let coord = Coordinator::new(cfg);
+        let (mut p_seq, mut p_par) = (coord.platform(), coord.platform());
+        let dep = coord.deploy(&mut p_seq, &g, &plan).unwrap();
+        let seq = coord.serve_sequential(&mut p_seq, &dep, 10, 0.0);
+        let seq_dollars = seq.dollars + p_seq.settle_storage(seq.completion_s);
+        let dep = coord.deploy(&mut p_par, &g, &plan).unwrap();
+        let par = coord.serve_parallel(&mut p_par, &dep, 10, 0.0);
         assert!(
-            seq.dollars < batch.dollars,
-            "seq ${} vs BATCH ${}",
-            seq.dollars,
+            seq_dollars < batch.dollars,
+            "seq ${seq_dollars} vs BATCH ${}",
             batch.dollars
         );
         assert!(par.completion_s < seq.completion_s * 0.5);

@@ -16,8 +16,8 @@
 
 use ampsinf_core::AmpsConfig;
 use ampsinf_faas::platform::Platform;
-use ampsinf_faas::runtime::{CODE_BYTES, DEPS_BYTES};
-use ampsinf_faas::{FunctionSpec, InvocationWork, MB};
+use ampsinf_faas::runtime::{PartitionWork, CODE_BYTES, DEPS_BYTES};
+use ampsinf_faas::{ObjectKey, MB};
 use ampsinf_model::LayerGraph;
 use ampsinf_profiler::Profile;
 
@@ -88,7 +88,7 @@ pub fn plan_with_parallelism(
             while end + 1 < n && segment_fits(&profile, start, end + 1, cfg) {
                 end += 1;
             }
-            let memory_mb = best_memory(&profile, start, end, 1, cfg)?;
+            let memory_mb = best_memory(graph, start, end, 1, cfg)?;
             stages.push(ParallelStage {
                 start,
                 end,
@@ -104,7 +104,7 @@ pub fn plan_with_parallelism(
         for w in 2..=max_workers {
             let slice = weights.div_ceil(u64::from(w));
             if CODE_BYTES + DEPS_BYTES + slice <= deploy_budget {
-                if let Some(mem) = best_memory(&profile, start, start, w, cfg) {
+                if let Some(mem) = best_memory(graph, start, start, w, cfg) {
                     chosen = Some((w, mem));
                     break;
                 }
@@ -133,10 +133,24 @@ fn segment_fits(profile: &Profile, start: usize, end: usize, cfg: &AmpsConfig) -
             .is_some()
 }
 
+/// One of `workers` weight-sliced workers over layers `[start, end]`:
+/// the segment with its weights, FLOPs, activations and output divided
+/// by `workers` (rounded up). Every worker reads the whole stage input.
+fn worker_work(graph: &LayerGraph, start: usize, end: usize, workers: u32) -> PartitionWork {
+    let w = u64::from(workers);
+    let mut work = PartitionWork::from_segment(graph, start, end);
+    let seg = &mut work.seg;
+    seg.weight_bytes = seg.weight_bytes.div_ceil(w);
+    seg.flops = seg.flops.div_ceil(w);
+    seg.activation_bytes = seg.activation_bytes.div_ceil(w);
+    seg.output_bytes = seg.output_bytes.div_ceil(w);
+    work
+}
+
 /// Cheapest memory block for a (possibly sliced) stage: evaluates the
 /// per-worker work on a scratch platform across the feasible grid.
 fn best_memory(
-    profile: &Profile,
+    graph: &LayerGraph,
     start: usize,
     end: usize,
     workers: u32,
@@ -144,10 +158,9 @@ fn best_memory(
 ) -> Option<u32> {
     let mut best: Option<(f64, u32)> = None;
     for mem in cfg.quotas.memory_blocks_search_grid() {
-        let Some((duration, dollars)) = eval_worker(profile, start, end, workers, mem, cfg) else {
+        let Some(dollars) = eval_worker(graph, start, end, workers, mem, cfg) else {
             continue;
         };
-        let _ = duration;
         if best.is_none_or(|(c, _)| dollars < c) {
             best = Some((dollars, mem));
         }
@@ -155,51 +168,43 @@ fn best_memory(
     best.map(|(_, m)| m)
 }
 
-/// Evaluates one worker of a stage at one memory size on a scratch
+/// Dollars of one worker of a stage at one memory size on a scratch
 /// platform; `None` when undeployable/unrunnable.
 fn eval_worker(
-    profile: &Profile,
+    graph: &LayerGraph,
     start: usize,
     end: usize,
     workers: u32,
     memory_mb: u32,
     cfg: &AmpsConfig,
-) -> Option<(f64, f64)> {
-    let w = u64::from(workers);
-    let weights = profile.weights(start, end).div_ceil(w);
-    let flops = profile.flops(start, end).div_ceil(w);
-    let activations = profile.activations(start, end).div_ceil(w);
-    let input = profile.input_bytes(start); // broadcast: full input per worker
-    let output = profile.output_bytes(end).div_ceil(w);
+) -> Option<f64> {
+    let work = worker_work(graph, start, end, workers);
+    let batch = cfg.batch_size;
     let mut platform = Platform::new(cfg.quotas, cfg.prices, cfg.perf, cfg.store);
-    let spec = FunctionSpec {
-        name: format!("{}[{start}..{end}]/{workers}", profile.model),
-        memory_mb,
-        code_bytes: CODE_BYTES,
-        layer_bytes: vec![DEPS_BYTES, weights],
-    };
-    let (fid, _) = platform.deploy(spec).ok()?;
+    let name = format!("{}[{start}..{end}]/{workers}", graph.name);
+    let (fid, _) = platform.deploy(work.function_spec(name, memory_mb)).ok()?;
     let in_key = platform.store.intern("in");
     let out_key = platform.store.intern("out");
+    let input = work.seg.input_bytes * batch;
     let mut scratch = ampsinf_faas::CostLedger::new();
     platform
         .store
         .put("in", input, 0.0, &cfg.prices, &mut scratch)
         .ok()?;
-    let work = InvocationWork {
-        load_bytes: weights,
-        flops,
-        resident_bytes: 2 * weights + activations + input,
-        tmp_bytes: weights + input,
-        reads: if start == 0 { vec![] } else { vec![in_key] },
-        writes: if end + 1 == profile.num_layers() {
-            vec![]
-        } else {
-            vec![(out_key, output)]
-        },
+    let reads = if start == 0 {
+        vec![]
+    } else {
+        vec![(in_key, input)]
     };
-    let out = platform.invoke(fid, 0.0, &work).ok()?;
-    Some((out.duration(), out.dollars))
+    let writes = if end + 1 == graph.num_layers() {
+        vec![]
+    } else {
+        vec![(out_key, work.seg.output_bytes * batch)]
+    };
+    let out = platform
+        .invoke(fid, 0.0, &work.batched(batch, &reads, &writes))
+        .ok()?;
+    Some(out.dollars)
 }
 
 /// Deploys and executes a parallel plan for one request.
@@ -208,22 +213,20 @@ pub fn run_parallel_plan(
     plan: &ParallelPlan,
     cfg: &AmpsConfig,
 ) -> Result<ParallelRun, String> {
-    let profile = Profile::batched(graph, cfg.batch_size);
+    let batch = cfg.batch_size;
+    let works: Vec<PartitionWork> = plan
+        .stages
+        .iter()
+        .map(|s| worker_work(graph, s.start, s.end, s.workers))
+        .collect();
     let mut platform = Platform::new(cfg.quotas, cfg.prices, cfg.perf, cfg.store);
     // Deploy every worker of every stage.
     let mut fids = Vec::new();
     let mut deploy_s = 0.0f64;
     for (si, s) in plan.stages.iter().enumerate() {
-        let w = u64::from(s.workers);
-        let weights = profile.weights(s.start, s.end).div_ceil(w);
         let mut stage_fids = Vec::new();
         for wi in 0..s.workers {
-            let spec = FunctionSpec {
-                name: format!("{}-s{si}w{wi}", plan.model),
-                memory_mb: s.memory_mb,
-                code_bytes: CODE_BYTES,
-                layer_bytes: vec![DEPS_BYTES, weights],
-            };
+            let spec = works[si].function_spec(format!("{}-s{si}w{wi}", plan.model), s.memory_mb);
             let (fid, d) = platform.deploy(spec).map_err(|e| e.to_string())?;
             deploy_s = deploy_s.max(d);
             stage_fids.push(fid);
@@ -234,21 +237,15 @@ pub fn run_parallel_plan(
     // Execute stage by stage; within a stage all workers start together.
     let mut now = 0.0f64;
     let mut dollars = 0.0f64;
-    let n = profile.num_layers();
+    let n = graph.num_layers();
     for (si, s) in plan.stages.iter().enumerate() {
-        let w = u64::from(s.workers);
-        let weights = profile.weights(s.start, s.end).div_ceil(w);
-        let flops = profile.flops(s.start, s.end).div_ceil(w);
-        let activations = profile.activations(s.start, s.end).div_ceil(w);
-        let input = profile.input_bytes(s.start);
-        let output = profile.output_bytes(s.end).div_ceil(w);
         // Inputs: every slice the previous stage wrote (gather + broadcast).
-        let reads: Vec<ampsinf_faas::ObjectKey> = if si == 0 {
+        let reads: Vec<(ObjectKey, u64)> = if si == 0 {
             vec![]
         } else {
-            let prev_w = plan.stages[si - 1].workers;
-            (0..prev_w)
-                .map(|p| platform.store.intern(&format!("b{}/{p}", si - 1)))
+            let slice = works[si - 1].seg.output_bytes * batch;
+            (0..plan.stages[si - 1].workers)
+                .map(|p| (platform.store.intern(&format!("b{}/{p}", si - 1)), slice))
                 .collect()
         };
         let mut stage_end = now;
@@ -256,18 +253,11 @@ pub fn run_parallel_plan(
             let writes = if s.end + 1 == n {
                 vec![]
             } else {
-                vec![(platform.store.intern(&format!("b{si}/{wi}")), output)]
-            };
-            let work = InvocationWork {
-                load_bytes: weights,
-                flops,
-                resident_bytes: 2 * weights + activations + input,
-                tmp_bytes: weights + input,
-                reads: reads.clone(),
-                writes,
+                let key = platform.store.intern(&format!("b{si}/{wi}"));
+                vec![(key, works[si].seg.output_bytes * batch)]
             };
             let out = platform
-                .invoke(*fid, now, &work)
+                .invoke(*fid, now, &works[si].batched(batch, &reads, &writes))
                 .map_err(|e| e.to_string())?;
             dollars += out.dollars;
             stage_end = stage_end.max(out.end);

@@ -7,9 +7,8 @@
 //!   by Step Functions (≈15 s per state transition, paper footnote 2) with
 //!   an EC2 driver;
 //! * [`batch_baseline`] — BATCH \[23\]: single-lambda adaptive batching,
-//!   no model splitting;
-//! * [`batched`] — batched-chain execution used by both the BATCH
-//!   comparison and AMPS-Inf's own batch modes (§5.4);
+//!   no model splitting (AMPS-Inf's own batch modes, §5.4, run on the
+//!   coordinator's engine at [`ampsinf_core::AmpsConfig::batch_size`]);
 //! * [`loadgen`] — open-loop workloads over a deployed chain with
 //!   seeded arrival shapes (Poisson, diurnal, flash crowd, bursts,
 //!   multi-tenant), warm-pool policy metrics, and an adaptive
@@ -21,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod batch_baseline;
-pub mod batched;
 pub mod layer_parallel;
 pub mod loadgen;
 pub mod sagemaker;

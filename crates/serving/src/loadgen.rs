@@ -25,7 +25,8 @@ use ampsinf_core::{
     AmpsConfig, Coordinator, DagDeployment, DagNodeStats, OptimizeError, Optimizer, PlanCache,
     TraceReport,
 };
-use ampsinf_faas::SmallRng;
+use ampsinf_faas::platform::DeployError;
+use ampsinf_faas::{Platform, SmallRng};
 use ampsinf_model::LayerGraph;
 
 /// Deterministic arrival-process shapes for [`LoadSpec`].
@@ -421,17 +422,18 @@ fn report_from_trace(
 
 /// Runs an open-loop workload against a deployed chain plan.
 ///
-/// The chain is served as the width-1 DAG [`DagPlan::from_chain`] builds,
-/// through [`run_open_loop_dag`]; the report therefore carries
-/// [`LoadReport::dag_nodes`] with one row per partition.
+/// The chain deploys as a width-1 DAG ([`Coordinator::deploy`]) and is
+/// served exactly like [`run_open_loop_dag`]; the report therefore
+/// carries [`LoadReport::dag_nodes`] with one row per partition.
 pub fn run_open_loop(
     graph: &LayerGraph,
     plan: &ExecutionPlan,
     cfg: &AmpsConfig,
     load: &LoadSpec,
 ) -> Result<LoadReport, String> {
-    let dag = DagPlan::from_chain(plan, |k| graph.cut_transfer_bytes(k));
-    run_open_loop_dag(graph, &dag, cfg, load)
+    run_deployed(cfg, load, |coord, platform| {
+        coord.deploy(platform, graph, plan)
+    })
 }
 
 /// Runs an open-loop workload against a deployed [`DagPlan`] — a
@@ -458,11 +460,21 @@ pub fn run_open_loop_dag(
     cfg: &AmpsConfig,
     load: &LoadSpec,
 ) -> Result<LoadReport, String> {
+    run_deployed(cfg, load, |coord, platform| {
+        coord.deploy_dag(platform, graph, plan)
+    })
+}
+
+/// Deploys through `deploy` on a fresh platform and serves `load`'s
+/// arrivals on it.
+fn run_deployed(
+    cfg: &AmpsConfig,
+    load: &LoadSpec,
+    deploy: impl FnOnce(&Coordinator, &mut Platform) -> Result<DagDeployment, DeployError>,
+) -> Result<LoadReport, String> {
     let coord = Coordinator::new(cfg.clone());
     let mut platform = coord.platform();
-    let dep = coord
-        .deploy_dag(&mut platform, graph, plan)
-        .map_err(|e| e.to_string())?;
+    let dep = deploy(&coord, &mut platform).map_err(|e| e.to_string())?;
     let arrivals = load.arrivals();
     let trace = coord.serve_trace_dag(&mut platform, &dep, &arrivals);
     Ok(report_from_trace(&trace, &arrivals, load, cfg))
@@ -632,9 +644,8 @@ fn adaptive_loop(
         let dep_idx = match dep_of_tier.get(&key) {
             Some(&i) => i,
             None => {
-                let dag = plan.to_dag(|k| graph.cut_transfer_bytes(k));
                 let dep = coord
-                    .deploy_dag(&mut platform, graph, &dag)
+                    .deploy_effective(&mut platform, graph, &plan)
                     .map_err(|e| e.to_string())?;
                 deps.push(dep);
                 dep_of_tier.insert(key, deps.len() - 1);

@@ -44,18 +44,28 @@ pub fn run_serfer(
         .map_err(|e| e.to_string())?;
 
     // Build the state machine: one Task state per partition, chained
-    // through storage exactly like AMPS-Inf's coordinator.
+    // through storage exactly like AMPS-Inf's coordinator, each doing the
+    // work the plan priced (the batch law at the planned batch).
     let k = dep.functions.len();
+    let batch = cfg.batch_size;
     let states: Vec<StepState> = (0..k)
         .map(|i| {
-            let input_key = (i > 0).then(|| platform.store.intern(&format!("serfer/b{}", i - 1)));
-            let output_key = (i + 1 < k).then(|| platform.store.intern(&format!("serfer/b{i}")));
             let part = &plan.partitions[i];
             let work = PartitionWork::from_segment(graph, part.start, part.end);
+            let mut object =
+                |name: String, bytes: u64| (platform.store.intern(&name), bytes * batch);
+            let reads: Vec<_> = (i > 0)
+                .then(|| object(format!("serfer/b{}", i - 1), work.seg.input_bytes))
+                .into_iter()
+                .collect();
+            let writes: Vec<_> = (i + 1 < k)
+                .then(|| object(format!("serfer/b{i}"), work.seg.output_bytes))
+                .into_iter()
+                .collect();
             StepState {
                 name: format!("partition{i}"),
                 function: dep.functions[i],
-                work: work.invocation(input_key, output_key),
+                work: work.batched(batch, &reads, &writes),
             }
         })
         .collect();

@@ -21,8 +21,8 @@ use amps_inf::faas::WarmPoolPolicy;
 use amps_inf::model::summary::ModelSummary;
 use amps_inf::prelude::*;
 use amps_inf::serving::{
-    run_adaptive_loop, run_adaptive_loop_dag, run_open_loop_dag, AdaptiveSpec, ArrivalShape,
-    LoadSpec,
+    run_adaptive_loop, run_adaptive_loop_dag, run_open_loop, run_open_loop_dag, AdaptiveSpec,
+    ArrivalShape, LoadSpec,
 };
 use std::fmt::{self, Write as _};
 use std::io::{self, Write as _};
@@ -91,8 +91,8 @@ enum Kind {
     NonNegative,
     /// A probability in [0, 1], or in [0, 1) when `false`.
     Probability(bool),
-    /// Comma-separated integers >= 1.
-    Counts,
+    /// Comma-separated integers in `1..=max`.
+    Counts(u64),
     /// Comma-separated finite numbers > 0.
     Positives,
     /// Any string; parsed where it is used.
@@ -102,6 +102,12 @@ enum Kind {
 use Kind::*;
 
 const COUNT: Kind = Int(1, u64::MAX);
+/// The largest batch a plan or sweep takes: far above any batch the
+/// paper's evaluation uses (64), and small enough that batch-scaled
+/// FLOPs and bytes stay far from `u64` overflow.
+const MAX_BATCH: u64 = 4096;
+/// The most SLO points a sweep grid takes (one grid entry each).
+const MAX_POINTS: u64 = 10_000;
 
 impl Kind {
     /// What a value of this kind must be, for error messages.
@@ -115,7 +121,7 @@ impl Kind {
             NonNegative => "a finite number >= 0".into(),
             Probability(true) => "a probability in [0,1]".into(),
             Probability(false) => "a probability in [0,1)".into(),
-            Counts => "comma-separated positive integers".into(),
+            Counts(hi) => format!("comma-separated integers in 1..={hi}"),
             Positives => "comma-separated finite numbers > 0".into(),
         }
     }
@@ -131,7 +137,7 @@ impl Kind {
             Probability(closed) => {
                 num(v).is_some_and(|x| x >= 0.0 && if closed { x <= 1.0 } else { x < 1.0 })
             }
-            Counts => list(&|s| s.parse::<u64>().is_ok_and(|n| n >= 1)),
+            Counts(hi) => list(&|s| s.parse::<u64>().is_ok_and(|n| (1..=hi).contains(&n))),
             Positives => list(&|s| num(s).is_some_and(|x| x > 0.0)),
         }
     }
@@ -192,7 +198,7 @@ impl Flag {
 #[rustfmt::skip]
 const FLAGS: &[Flag] = &[
     flag("--slo", "<seconds>", Positive, PLAN | SERVE, "response-time SLO"),
-    flag("--batch", "<n>", COUNT, PLAN | SERVE, "optimize for n-image batches"),
+    flag("--batch", "<n>", Int(1, MAX_BATCH), PLAN | SERVE, "optimize for n-image batches (at most 4096)"),
     flag("--tolerance", "<f>", NonNegative, PLANNERS, "cost tolerance spent on speed (default 0.1)"),
     flag("--threads", "<n>", Int(0, 256), PLANNERS,
         "optimizer threads, and serving workers in load mode (0 = auto, at most 256)"),
@@ -206,8 +212,9 @@ const FLAGS: &[Flag] = &[
         .conflicts(&["--dag"]),
     flag("--slo-from", "<seconds>", Positive, SWEEP, "tightest SLO of the grid (required)"),
     flag("--slo-to", "<seconds>", Positive, SWEEP, "loosest SLO of the grid (required, >= --slo-from)"),
-    flag("--points", "<n>", COUNT, SWEEP, "number of SLO grid points (required)"),
-    flag("--batches", "<a,b,...>", Counts, SWEEP, "batch sizes to cross with the SLO axis (default 1)"),
+    flag("--points", "<n>", Int(1, MAX_POINTS), SWEEP, "number of SLO grid points (required, at most 10000)"),
+    flag("--batches", "<a,b,...>", Counts(MAX_BATCH), SWEEP,
+        "batch sizes to cross with the SLO axis (default 1, each at most 4096)"),
     switch("--no-seed", SWEEP, "disable cross-point bound seeding"),
     flag("--images", "<n>", COUNT, SERVE, "images to serve at once (default 1)").conflicts(&["--requests"]),
     switch("--parallel", SERVE, "serve the images concurrently").conflicts(&["--requests"]),
@@ -671,10 +678,10 @@ fn chain_serving_plan(g: &LayerGraph, cfg: &AmpsConfig) -> Result<ExecutionPlan,
     Ok(plan)
 }
 
-/// The DAG `serve --dag` deploys, printed: the winning branch plan (the
-/// [`plan_dag`] objective), or the chain incumbent as a degenerate DAG
+/// The plan `serve --dag` deploys, printed: the winning branch plan (the
+/// [`plan_dag`] objective), or the chain incumbent (a degenerate DAG)
 /// when no branch plan wins.
-fn dag_serving_plan(g: &LayerGraph, cfg: &AmpsConfig) -> Result<DagPlan, String> {
+fn dag_serving_plan(g: &LayerGraph, cfg: &AmpsConfig) -> Result<EffectivePlan, String> {
     let report = Optimizer::new(cfg.clone())
         .optimize_dag(g)
         .map_err(optimization_failed)?;
@@ -685,7 +692,7 @@ fn dag_serving_plan(g: &LayerGraph, cfg: &AmpsConfig) -> Result<DagPlan, String>
                 report.regions_used,
                 report.regions_considered
             );
-            d
+            EffectivePlan::Dag(d)
         }
         None => {
             outln!(
@@ -693,7 +700,7 @@ fn dag_serving_plan(g: &LayerGraph, cfg: &AmpsConfig) -> Result<DagPlan, String>
                  serving the chain incumbent as a degenerate DAG",
                 report.regions_considered
             );
-            DagPlan::from_chain(&report.chain.plan, |e| g.cut_transfer_bytes(e))
+            EffectivePlan::Chain(report.chain.plan)
         }
     })
 }
@@ -806,7 +813,7 @@ fn serve_dag(g: &LayerGraph, cfg: AmpsConfig, args: &Args) -> Result<(), String>
     let coord = Coordinator::new(cfg);
     let mut platform = coord.platform();
     let dep = coord
-        .deploy_dag(&mut platform, g, &plan)
+        .deploy_effective(&mut platform, g, &plan)
         .map_err(|e| format!("deploy: {e}"))?;
     if images == 1 && coord.config().pipeline_depth == 0 && !parallel {
         let (time, dollars) = serve_single(&coord, &mut platform, &dep, "critical path")?;
@@ -837,7 +844,7 @@ fn serve_dag(g: &LayerGraph, cfg: AmpsConfig, args: &Args) -> Result<(), String>
     }
     if args.has("--verbose") {
         if let Some(stats) = &trace.dag_nodes {
-            print_dag_node_stats(stats, &plan);
+            print_dag_node_stats(stats, &node_spans(&plan));
         }
     }
     outln!(
@@ -852,9 +859,19 @@ fn serve_dag(g: &LayerGraph, cfg: AmpsConfig, args: &Args) -> Result<(), String>
     Ok(())
 }
 
+/// Each node's `(first, last)` layer, in node order (a chain's nodes are
+/// its partitions).
+fn node_spans(plan: &EffectivePlan) -> Vec<(usize, usize)> {
+    match plan {
+        EffectivePlan::Chain(p) => p.partitions.iter().map(|n| (n.start, n.end)).collect(),
+        EffectivePlan::Dag(p) => p.nodes.iter().map(|n| (n.start, n.end)).collect(),
+    }
+}
+
 /// Per-node busy/stall/occupancy/critical-path table for `--verbose`
-/// load and DAG runs — where the plan's time actually went.
-fn print_dag_node_stats(stats: &DagNodeStats, plan: &DagPlan) {
+/// load and DAG runs — where the plan's time actually went; `spans`
+/// names each node's layers.
+fn print_dag_node_stats(stats: &DagNodeStats, spans: &[(usize, usize)]) {
     // Pipeline stations genuinely bound per-node concurrency, so the
     // utilization column is an occupancy percentage; scale-out serving
     // adds instances on demand and reports mean concurrency instead.
@@ -873,7 +890,7 @@ fn print_dag_node_stats(stats: &DagNodeStats, plan: &DagPlan) {
     }
     let column = if bounded { "occupancy" } else { "mean-conc" };
     outln!("  node        layers     busy(s)    stall(s)  {column:>9}   critical");
-    for (i, n) in plan.nodes.iter().enumerate() {
+    for (i, &(start, end)) in spans.iter().enumerate() {
         let util = if bounded {
             format!("{:>8.1}%", stats.occupancy(i) * 100.0)
         } else {
@@ -882,7 +899,7 @@ fn print_dag_node_stats(stats: &DagNodeStats, plan: &DagPlan) {
         outln!(
             "  {:>4}  {:>12}  {:>10.2}  {:>10.2}  {util}  {:>8.1}%",
             i,
-            format!("L{}..L{}", n.start, n.end),
+            format!("L{start}..L{end}"),
             stats.busy_s[i],
             stats.stall_s[i],
             stats.critical_share(i) * 100.0
@@ -976,17 +993,17 @@ fn serve_load(g: &LayerGraph, cfg: AmpsConfig, args: &Args, requests: usize) -> 
             (rep, None)
         }
         None => {
-            // A chain is served as the width-1 DAG, so `--verbose` can
-            // name each partition's row in the per-node table.
             let plan = if dag {
                 dag_serving_plan(g, &cfg)?
             } else {
-                let chain = chain_serving_plan(g, &cfg)?;
-                DagPlan::from_chain(&chain, |e| g.cut_transfer_bytes(e))
+                EffectivePlan::Chain(chain_serving_plan(g, &cfg)?)
             };
             print_fault_plan(&cfg);
-            let rep =
-                run_open_loop_dag(g, &plan, &cfg, &load).map_err(|e| format!("load run: {e}"))?;
+            let rep = match &plan {
+                EffectivePlan::Chain(chain) => run_open_loop(g, chain, &cfg, &load),
+                EffectivePlan::Dag(d) => run_open_loop_dag(g, d, &cfg, &load),
+            }
+            .map_err(|e| format!("load run: {e}"))?;
             (rep, Some(plan))
         }
     };
@@ -1045,7 +1062,7 @@ fn serve_load(g: &LayerGraph, cfg: AmpsConfig, args: &Args, requests: usize) -> 
     }
     if verbose {
         if let (Some(stats), Some(plan)) = (&rep.dag_nodes, &plan) {
-            print_dag_node_stats(stats, plan);
+            print_dag_node_stats(stats, &node_spans(plan));
         }
     }
     if adaptive.is_some() || verbose {

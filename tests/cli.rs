@@ -283,6 +283,21 @@ fn out_of_range_values_are_rejected_before_they_reach_the_library() {
         ),
         ("serve mobilenet --threads 257", "--threads"),
         ("serve mobilenet --threads 100000", "--threads"),
+        ("plan mobilenet --batch 4097", "--batch"),
+        ("plan mobilenet --batch 100000000000", "--batch"),
+        ("serve mobilenet --batch 4097", "--batch"),
+        (
+            "sweep mobilenet --slo-from 2 --slo-to 20 --points 4 --batches 1,4097",
+            "--batches",
+        ),
+        (
+            "sweep mobilenet --slo-from 2 --slo-to 20 --points 4 --batches 0",
+            "--batches",
+        ),
+        (
+            "sweep mobilenet --slo-from 2 --slo-to 20 --points 10001",
+            "--points",
+        ),
     ]);
 }
 

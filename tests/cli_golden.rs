@@ -141,9 +141,9 @@ const GOLDEN: &str = "
     5c690715e270b1bf 0 serve mobilenet --images 10 --parallel
     18f9d5a332b98bb2 0 sweep resnet50 --slo-from 22 --slo-to 36 --points 8
     5e63b221b4108315 0 plan inception_v3 --dag --batch 64 --slo 636.5
-    3be966525ff9ac37 0 serve inception_v3 --dag --batch 64 --images 4
+    017a51bc7a69d6bc 0 serve inception_v3 --dag --batch 64 --images 4
     413b43c371169cb8 0 sweep inception_v3 --dag --slo-from 22 --slo-to 40 --points 8 --batches 1,16
-    c04df3b360a2bc98 0 serve inception_v3 --batch 64 --dag --requests 100000 --rate 200 --shape spike --policy prewarm:4 --threads 8 --verbose
+    f0778fe7fabb2abb 0 serve inception_v3 --batch 64 --dag --requests 100000 --rate 200 --shape spike --policy prewarm:4 --threads 8 --verbose
     8f32c06cd0def982 0 serve resnet50 --images 5 --parallel --flaky-store 0.3 --inject-faults 0.05 --fault-seed 7 --retries 3 --backoff 0.2
     2343c94f4249f80f 0 serve resnet50 --requests 10000 --rate 200 --shape spike --policy provisioned:4
     47f0a0c9ac83597b 0 serve resnet50 --requests 20000 --rate 100 --shape spike --adaptive --slo-tiers 15,30,60 --epoch 128
@@ -168,7 +168,7 @@ const GOLDEN: &str = "
     803ae3088ed6e905 0 serve mobilenet --dag --images 6 --pipeline --pipe-depth 2
     eb975df0c9a37e64 0 serve mobilenet --dag --images 3 --inject-faults 0.15 --fault-seed 11
     d945f8e503b4afc0 0 serve mobilenet --dag --requests 300 --rate 10 --inject-faults 0.15 --fault-seed 11 --retries 2 --flaky-store 0.2
-    e1f1e0f4328131b9 0 serve inception_v3 --batch 64 --dag --requests 5000 --rate 50 --adaptive --slo-tiers 600,1200 --epoch 512
+    db2648ae2c100082 0 serve inception_v3 --batch 64 --dag --requests 5000 --rate 50 --adaptive --slo-tiers 600,1200 --epoch 512
     eacf2679937af39d 0 plan inception_v3 --dag --batch 64 --slo 636.5 --verbose
     5c94efdd3090c931 0 sweep inception_v3 --dag --slo-from 570 --slo-to 700 --points 6 --batches 64
     3ba0ba20b21267b7 0 sweep inception_v3 --dag --slo-from 22 --slo-to 40 --points 4 --verbose
@@ -184,7 +184,7 @@ const GOLDEN: &str = "
     f6269e4a19a1b930 0 serve mobilenet --images 1 --parallel
     6bef49019872ee8d 0 serve resnet50 --images 1 --pipeline
     e20378616f6d676a 0 serve resnet50 --images 3 --pipeline
-    740a187155f64af8 0 serve resnet50 --batch 4 --images 2
+    64c0d54f0ec2625b 0 serve resnet50 --batch 4 --images 2
     6187d014b434fc95 0 serve mobilenet --slo 7.6 --images 2 --quota-2021 --tolerance 0.2
     935f22f6ad9f3fc7 0 serve mobilenet --dag --images 1
     c445cf80edb08699 0 serve mobilenet --dag --images 1 --pipeline
